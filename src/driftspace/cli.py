@@ -1,9 +1,10 @@
 """Command-line front end.
 
 ``driftspace build`` turns a corpus tree (one subdirectory per epoch) into
-per-epoch space files in two passes: a global counting pass that fixes the
-vocabulary filter, then per-epoch ingestion, optionally parallel across
-files with worker-local partial spaces merged at the end.  The analysis
+per-epoch space files: it tokenizes every file once into integer ids,
+counts the vocabulary to fix the filter, then accumulates each epoch from
+its pair counts and writes it; with --workers a process pool shares out
+files, then whole epochs.  The analysis
 commands load space files, run one analysis, print the rendered report to
 stdout and write it plus the resolved configuration under --out.
 
@@ -14,11 +15,16 @@ flags and files produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus, diachronic, persistence, reports
 from .errors import (
@@ -34,6 +40,8 @@ from .space import (
     combine,
     inverse_log_weights,
     norm_frequency_series,
+    seed_matrix,
+    warn_mixed_widths,
 )
 
 EXIT_OK = 0
@@ -185,6 +193,15 @@ def _read_terms_file(path) -> list:
     return list(dict.fromkeys(terms))
 
 
+def _normalize_term(raw: str) -> str:
+    """A term argument under the tokenizer's rules (lowercase, trimmed
+    hyphens and apostrophes); anything that is not one token is an error."""
+    sentences = corpus.tokenize(raw)
+    if len(sentences) != 1 or len(sentences[0]) != 1:
+        raise ConfigError(f"term {raw!r} is not a single token")
+    return sentences[0][0]
+
+
 def _resolve_workers(ns: argparse.Namespace) -> int:
     workers = getattr(ns, "workers", None)
     if workers is None:
@@ -211,30 +228,35 @@ def _emit(ns: argparse.Namespace, report) -> int:
 
 # --- build -------------------------------------------------------------------
 
-def _build_partial(payload):
-    config, label, file_names, docs_per_line, filt, weights = payload
-    space = SemanticSpace(config, label, term_weights=weights)
-    for doc in corpus.read_documents(label, file_names, docs_per_line):
-        for sentence in corpus.filtered_stream(doc, filt, compact=config.compaction):
-            space.ingest_sentence(sentence)
-    return space
+def _build_epoch(task):
+    """Accumulate one epoch from its id stream and save it; runs in a pool
+    worker or in-process, and returns what the build prints."""
+    config, label, terms, ids, sentence_ids, seeds, path, float_width = task
+    space = SemanticSpace.empty(config, label)
+    space.ingest_ids(terms, ids, sentence_ids, seeds)
+    persistence.save_space(space, path, float_width=float_width)
+    return path, len(space.entries), space.ingested_tokens
 
 
-def _build_epoch(config, label, files, docs_per_line, filt, weights, workers):
-    file_names = [str(f) for f in files]
-    if workers <= 1 or len(file_names) <= 1:
-        return _build_partial((config, label, file_names, docs_per_line, filt, weights))
-    shards = [file_names[i::workers] for i in range(workers)]
-    shards = [shard for shard in shards if shard]
-    payloads = [
-        (config, label, shard, docs_per_line, filt, weights) for shard in shards
-    ]
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        partials = list(pool.map(_build_partial, payloads))
-    # Merge in shard order so parallel builds stay deterministic too.
-    merged = combine(partials)
-    merged.epoch_label = label
-    return merged
+def _ordered_map(pool, workers, fn, tasks):
+    """``fn`` over ``tasks`` in order.  With a pool, tasks are drawn from
+    the iterable only as workers free up, so only a few tasks' inputs are
+    alive at once."""
+    if pool is None:
+        yield from map(fn, tasks)
+        return
+    pending = deque()
+    try:
+        for task in tasks:
+            if len(pending) > workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        # After a failure, tasks not yet started never run.
+        for future in pending:
+            future.cancel()
 
 
 def cmd_build(ns: argparse.Namespace) -> int:
@@ -244,35 +266,59 @@ def cmd_build(ns: argparse.Namespace) -> int:
     labels = _csv(ns.epochs) or corpus.epoch_labels(root)
     epoch_files = {label: corpus.list_epoch_files(root, label) for label in labels}
     workers = _resolve_workers(ns)
-
-    def all_documents():
-        for label in labels:
-            yield from corpus.read_documents(
-                label, epoch_files[label], ns.docs_per_line
-            )
-
-    stats = corpus.count_vocabulary(all_documents())
-    filt = corpus.build_filter(stats, top_k=run.top_k, min_count=run.min_count)
-    if not filt.retained:
-        raise ConfigError(
-            "the vocabulary filter retains no terms; lower min_count or top_k"
-        )
-    weights = None
-    if config.weighting == "inverse_log_frequency":
-        weights = inverse_log_weights(stats.counts)
-
     out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for label in labels:
-        space = _build_epoch(
-            config, label, epoch_files[label], ns.docs_per_line, filt, weights, workers
-        )
-        path = persistence.save_space(space, out_dir / f"{label}.space",
-                                      float_width=run.float_width)
-        print(
-            f"{path}: {len(space.entries)} terms, "
-            f"{space.ingested_tokens} retained tokens"
-        )
+
+    # One pool per build: it tokenizes files, then accumulates and saves
+    # whole epochs.  Every float is computed once, in one process, from
+    # integer counts, so the worker count cannot change a byte.  scipy is
+    # loaded first so that forked workers inherit it.
+    import scipy.sparse  # noqa: F401
+
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        paths = [path for label in labels for path in epoch_files[label]]
+        read = functools.partial(corpus.read_token_ids, docs_per_line=ns.docs_per_line)
+        files = list(_ordered_map(pool, workers, read, paths))
+        terms, file_ids = corpus.merge_vocabularies(files)
+        file_lengths = [f.lengths for f in files]
+        del files  # the per-file vocabularies are merged into ``terms``
+        stats = corpus.count_ids(terms, file_ids)
+        filt = corpus.build_filter(stats, top_k=run.top_k, min_count=run.min_count)
+        if not filt.retained:
+            raise ConfigError(
+                "the vocabulary filter retains no terms; lower min_count or top_k"
+            )
+        retained, retained_index = corpus.retained_ids(terms, filt)
+        weights = None
+        if config.weighting == "inverse_log_frequency":
+            weights = inverse_log_weights(stats.counts)
+        seeds = seed_matrix(retained, config, weights)
+
+        def epoch_tasks():
+            first = 0
+            for label in labels:
+                last = first + len(epoch_files[label])
+                ids, sentence_ids = corpus.filtered_ids(
+                    _concat(file_ids[first:last]),
+                    _concat(file_lengths[first:last]),
+                    retained_index,
+                    compact=config.compaction,
+                )
+                # The epoch's files are no longer needed once its task exists.
+                file_ids[first:last] = [None] * (last - first)
+                file_lengths[first:last] = [None] * (last - first)
+                first = last
+                # Only the epoch's own terms, renumbered 0..n-1.
+                present = np.unique(ids[ids >= 0])
+                local = np.where(ids >= 0, np.searchsorted(present, ids), -1)
+                yield (config, label, [retained[k] for k in present], local,
+                       sentence_ids, seeds[present], out_dir / f"{label}.space",
+                       run.float_width)
+
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, n_terms, n_tokens in _ordered_map(pool, workers, _build_epoch,
+                                                    epoch_tasks()):
+            print(f"{path}: {n_terms} terms, {n_tokens} retained tokens")
     corpus.write_stats_tsv(stats, out_dir / "vocabulary.tsv")
     _write_run_config(out_dir, ns)
     print(
@@ -282,13 +328,24 @@ def cmd_build(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _concat(arrays) -> np.ndarray:
+    arrays = list(arrays)
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
+
+
 # --- other commands ----------------------------------------------------------
 
 def cmd_combine(ns: argparse.Namespace) -> int:
-    spaces = _load_spaces(ns.spaces)
+    # A generator, so each input is loaded when the fold reaches it.
+    spaces = (persistence.load_space(path) for path in ns.spaces)
+    # The headers give every input's width up front: with mixed widths all
+    # inputs are widened as they load, so every sum is 64-bit.
+    if len({persistence.load_header(path).float_dtype for path in ns.spaces}) > 1:
+        warn_mixed_widths()
+        spaces = (space.widen() for space in spaces)
     merged = combine(spaces)
     path = persistence.save_space(merged, ns.out)
-    print(f"{path}: {len(merged.entries)} terms from {len(spaces)} spaces")
+    print(f"{path}: {len(merged.entries)} terms from {len(ns.spaces)} spaces")
     return EXIT_OK
 
 
@@ -319,7 +376,7 @@ def cmd_drift(ns: argparse.Namespace) -> int:
         top_n=ns.top_n,
         thresholds=_parse_thresholds(ns.thresholds),
         exclude=exclude,
-        terms=_csv(ns.terms),
+        terms=[_normalize_term(t) for t in _csv(ns.terms)] if ns.terms else None,
     )
     return _emit(ns, report)
 
@@ -549,6 +606,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _apply_config_file(ns)
+        if getattr(ns, "term", None) is not None:
+            ns.term = _normalize_term(str(ns.term))
         return ns.func(ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

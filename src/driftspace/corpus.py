@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ConfigError, MissingDataError
 
 _TOKEN = re.compile(r"[\w'-]+")
@@ -128,6 +130,52 @@ def filtered_stream(doc: Document, filt: VocabularyFilter, compact: bool = True)
     return out
 
 
+def merge_vocabularies(files) -> tuple[list, list]:
+    """One vocabulary for many ``TokenIds``: its terms in first-seen order,
+    and each file's ids rewritten onto it."""
+    index: dict = {}
+    merged = []
+    for f in files:
+        lookup = np.array([index.setdefault(t, len(index)) for t in f.terms], dtype=np.int32)
+        merged.append(lookup[f.ids])
+    return list(index), merged
+
+
+def count_ids(terms, ids_per_file) -> VocabularyStats:
+    """Term frequencies of id streams over ``terms``."""
+    counts = np.zeros(len(terms), dtype=np.int64)
+    for ids in ids_per_file:
+        # Without minlength, so each file costs its tokens, not the vocabulary.
+        file_counts = np.bincount(ids)
+        counts[:len(file_counts)] += file_counts
+    return VocabularyStats(Counter(dict(zip(terms, counts.tolist()))))
+
+
+def retained_ids(terms, filt: VocabularyFilter) -> tuple[list, np.ndarray]:
+    """The retained terms in sorted order, and for each of ``terms`` its
+    position among them, or -1 if the filter drops it."""
+    retained = sorted(filt.retained)
+    position = {term: k for k, term in enumerate(retained)}
+    index = np.array([position.get(term, -1) for term in terms], dtype=np.int64)
+    return retained, index
+
+
+def filtered_ids(ids, lengths, retained_index, compact: bool = True):
+    """``filtered_stream`` over id streams: (ids, sentence_ids).
+
+    ``retained_index`` maps a vocabulary id to its id among the retained
+    terms, or -1 for a dropped term.  With ``compact`` dropped tokens are
+    deleted; otherwise each leaves a -1 hole.  ``sentence_ids`` numbers
+    each token's sentence, so windows can stop at sentence ends.
+    """
+    mapped = retained_index[ids]
+    sentence_ids = np.repeat(np.arange(len(lengths)), lengths)
+    if compact:
+        keep = mapped >= 0
+        return mapped[keep], sentence_ids[keep]
+    return mapped, sentence_ids
+
+
 def epoch_labels(corpus_root) -> list[str]:
     """Sorted epoch labels (subdirectory names) under the corpus root."""
     root = Path(corpus_root)
@@ -146,16 +194,54 @@ def list_epoch_files(corpus_root, epoch: str) -> list[Path]:
     return sorted(p for p in epoch_dir.iterdir() if p.is_file())
 
 
+def _read_text(path) -> str:
+    """A corpus file's text; a file that is not UTF-8 is missing data."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MissingDataError(
+            f"corpus file is not valid UTF-8: {path} (byte {exc.start})"
+        ) from None
+
+
+def _file_sentences(path, docs_per_line: bool) -> Iterator[list[list[str]]]:
+    text = _read_text(path)
+    if docs_per_line:
+        for line in text.splitlines():
+            if line.strip():
+                yield tokenize(line)
+    else:
+        yield tokenize(text)
+
+
 def read_documents(epoch: str, files: Iterable[Path], docs_per_line: bool = False) -> Iterator[Document]:
     """Yield tokenized Documents from the given files, in the given order."""
     for path in files:
-        text = Path(path).read_text(encoding="utf-8")
-        if docs_per_line:
-            for line in text.splitlines():
-                if line.strip():
-                    yield Document(epoch, tokenize(line))
-        else:
-            yield Document(epoch, tokenize(text))
+        for sentences in _file_sentences(path, docs_per_line):
+            yield Document(epoch, sentences)
+
+
+@dataclass
+class TokenIds:
+    """One tokenized file: token k is ``terms[ids[k]]``, and the file's
+    sentences hold ``lengths[0]``, ``lengths[1]``, ... tokens in turn."""
+
+    terms: list
+    ids: np.ndarray
+    lengths: np.ndarray
+
+
+def read_token_ids(path, docs_per_line: bool = False) -> TokenIds:
+    """Tokenize one file, once, into ids over the file's own vocabulary."""
+    index: dict = {}
+    ids = []
+    lengths = []
+    for sentences in _file_sentences(path, docs_per_line):
+        for sentence in sentences:
+            ids.extend(index.setdefault(tok, len(index)) for tok in sentence)
+            lengths.append(len(sentence))
+    return TokenIds(list(index), np.array(ids, dtype=np.int32),
+                    np.array(lengths, dtype=np.int32))
 
 
 def iter_documents(corpus_root, epoch: str, docs_per_line: bool = False) -> Iterator[Document]:

@@ -23,7 +23,7 @@ from .errors import (
     TermNotFoundError,
     UndefinedSimilarityError,
 )
-from .vectors import PermutationSet, apply_permutation, cosine, seed_vector
+from .vectors import PermutationSet, cosine, seed_vector
 
 WEIGHTINGS = ("uniform", "inverse_log_frequency")
 
@@ -93,6 +93,128 @@ def inverse_log_weights(counts) -> dict:
     }
 
 
+def _weighted(seeds: np.ndarray, terms, weights) -> np.ndarray:
+    if weights is None:
+        return seeds
+    missing = [term for term in terms if term not in weights]
+    if missing:
+        raise ConfigError(f"no accumulation weight for term {missing[0]!r}")
+    return seeds * np.array([weights[term] for term in terms])[:, None]
+
+
+def seed_matrix(terms, config: SpaceConfig, weights=None) -> np.ndarray:
+    """Row k is the seed vector of ``terms[k]``, scaled by its weight when
+    a ``weights`` map is given: the matrix W·S a build multiplies counts by."""
+    seeds = np.empty((len(terms), config.dim))
+    for k, term in enumerate(terms):
+        seeds[k] = seed_vector(term, config.dim, config.global_seed)
+    return _weighted(seeds, terms, weights)
+
+
+# Center rows of the pair matrix handled per sparse product; bounds the
+# product's temporary to _ROW_CHUNK * (2 + 2 * span) * dim floats.
+_ROW_CHUNK = 256
+
+# Tokens whose pairs are counted at once.  Counting a block holds a few
+# index arrays with 2 * (half + span) entries per token, so a long epoch
+# is counted block by block; the blocks' integer counts add exactly.
+_BLOCK_TOKENS = 1 << 19
+
+
+def _sentence_blocks(sentence_ids, size: int):
+    """(start, stop) positions of consecutive runs of whole sentences,
+    each at least ``size`` tokens long unless it is the last."""
+    n = len(sentence_ids)
+    starts = np.flatnonzero(sentence_ids[1:] != sentence_ids[:-1]) + 1
+    start = 0
+    while start < n:
+        k = np.searchsorted(starts, start + size)
+        stop = int(starts[k]) if k < len(starts) else n
+        yield start, stop
+        start = stop
+
+
+def _block_pairs(ids, sentence_ids, shape, half: int, span: int):
+    """Pair counts of one run of whole sentences (see ``_pair_matrix``)."""
+    from scipy import sparse
+
+    n_blocks = 2 + 2 * span
+    valid = ids >= 0
+    rows, cols = [], []
+    for d in range(1, half + 1):
+        keep = valid[:-d] & valid[d:] & (sentence_ids[:-d] == sentence_ids[d:])
+        left, right = ids[:-d][keep], ids[d:][keep]
+        rows += [left * n_blocks, right * n_blocks]
+        cols += [right, left]
+        if d <= span:
+            rows += [left * n_blocks + (1 + span + d), right * n_blocks + (2 + span - d)]
+            cols += [right, left]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    data = np.ones(len(rows), dtype=np.int32)
+    return sparse.csr_matrix((data, (rows, cols)), shape=shape)
+
+
+def _pair_matrix(ids, sentence_ids, counts, half: int, span: int):
+    """Integer pair counts as CSR with 2 + 2*span rows per center term:
+    row 0 counts its neighbors within ``half`` (the context), row 1 holds
+    its own count, and rows 2.. count its neighbors at offsets -span..-1,
+    then 1..span (the order terms)."""
+    from scipy import sparse  # costs ~0.2 s; only building needs it
+
+    n_blocks = 2 + 2 * span
+    shape = (len(counts) * n_blocks, len(counts))
+    present = np.flatnonzero(counts)
+    pairs = sparse.csr_matrix(
+        (counts[present].astype(np.int64), (present * n_blocks + 1, present)), shape=shape
+    )
+    index = np.int32 if shape[0] < 2**31 else np.int64
+    ids = ids.astype(index, copy=False)
+    for start, stop in _sentence_blocks(sentence_ids, _BLOCK_TOKENS):
+        pairs = pairs + _block_pairs(ids[start:stop], sentence_ids[start:stop],
+                                     shape, half, span)
+    return pairs
+
+
+def accumulate_windows(ids, sentence_ids, seeds, perms: PermutationSet,
+                       half: int, span: int):
+    """Counts, context and order vectors of a token stream of term ids.
+
+    ``ids`` index the rows of ``seeds`` (the weighted seed matrix W·S);
+    -1 is a hole, and a pair touching a hole is dropped.  Two positions
+    pair only inside one sentence, that is under equal ``sentence_ids``.
+    With C_d the integer matrix counting (center, neighbor) pairs at
+    offset d, the result is
+
+        context = (sum over 0<|d|<=half of C_d) @ W·S
+        order   = diag(count) @ W·S + sum over 0<|d|<=span of scatter_d(C_d @ W·S)
+
+    where scatter_d relabels columns as ``apply_permutation`` does.  All
+    of these counts sit in one sparse matrix (see ``_pair_matrix``), so
+    one product gives every vector.  It is canonical CSR with exact
+    integer entries, so the result depends on the multiset of pairs only,
+    not on their order.
+    """
+    ids = np.asarray(ids)
+    n_terms, dim = seeds.shape
+    counts = np.bincount(ids[ids >= 0], minlength=n_terms)
+    pairs = _pair_matrix(ids, np.asarray(sentence_ids), counts, half, span)
+    n_blocks = 2 + 2 * span
+    offsets = [d for d in range(-span, span + 1) if d != 0]
+    context = np.empty((n_terms, dim))
+    order = np.empty((n_terms, dim))
+    for first in range(0, n_terms, _ROW_CHUNK):
+        last = min(first + _ROW_CHUNK, n_terms)
+        chunk = pairs if last - first == n_terms else pairs[first * n_blocks:last * n_blocks]
+        product = (chunk @ seeds).reshape(last - first, n_blocks, dim)
+        context[first:last] = product[:, 0]
+        # scatter_d(M) == M[:, offset_map(-d)]
+        acc = order[first:last]
+        acc[:] = product[:, 1]
+        for k, d in enumerate(offsets):
+            acc += product[:, 2 + k][:, perms.offset_map(-d)]
+    return counts, context, order
+
+
 class SemanticSpace:
     """Mutable accumulator for one epoch (or a combination of epochs).
 
@@ -117,8 +239,17 @@ class SemanticSpace:
         self._seed_cache: dict[str, np.ndarray] = {}
         self._perms = None
 
-    # Transient caches are rebuilt on demand; keep worker-to-parent pickles
-    # small by not shipping them.
+    @classmethod
+    def empty(cls, config: SpaceConfig, epoch_label: str, float_dtype=np.float64):
+        """A space for vectors that arrive already weighted: loaded from a
+        file, summed by combine, or accumulated from a weighted seed
+        matrix.  Under non-uniform weighting its weight map is empty, so
+        ingesting tokens into it raises ConfigError."""
+        weights = None if config.weighting == "uniform" else {}
+        return cls(config, epoch_label, term_weights=weights, float_dtype=float_dtype)
+
+    # Transient caches are rebuilt on demand; keep pickles small by not
+    # shipping them.
     def __getstate__(self):
         return {
             "config": self.config,
@@ -191,70 +322,61 @@ class SemanticSpace:
         ``None`` marks a hole left by a dropped token when hole-preserving
         filtering is in use: holes keep their position (so real neighbors
         stay at their original offsets) but contribute nothing and are not
-        counted as centers.  Windows never cross sentence boundaries
-        because each call covers exactly one sentence.
+        counted as centers.  Windows never cross sentence boundaries.
         """
-        n = len(tokens)
-        if n == 0:
+        self.ingest_sentences([tokens])
+
+    def ingest_sentences(self, sentences) -> None:
+        """Accumulate many sentences (see ``ingest_sentence``) in one pass
+        of the accumulation kernel."""
+        tokens = [tok for sentence in sentences for tok in sentence]
+        if "" in tokens:
+            raise ValueError("empty token reached ingestion")
+        terms = sorted({tok for tok in tokens if tok is not None})
+        if not terms:
             return
-        centers = []
-        for i, tok in enumerate(tokens):
-            if tok is None:
-                continue
-            if tok == "":
-                raise ValueError("empty token reached ingestion")
-            centers.append(i)
-        if not centers:
-            return
+        index = {term: k for k, term in enumerate(terms)}
+        ids = np.array([-1 if tok is None else index[tok] for tok in tokens], dtype=np.int64)
+        sentence_ids = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+        seeds = _weighted(np.vstack([self.seed(term) for term in terms]), terms,
+                          self._term_weights)
+        self.ingest_ids(terms, ids, sentence_ids, seeds)
 
-        dim = self.config.dim
-        rows = np.zeros((n, dim))
-        for i in centers:
-            rows[i] = self.seed(tokens[i])
-        if self._term_weights is not None:
-            weights = np.zeros(n)
-            for i in centers:
-                weights[i] = self._term_weights[tokens[i]]
-            rows = rows * weights[:, None]
+    def ingest_ids(self, terms, ids, sentence_ids, seeds) -> None:
+        """Accumulate a token stream given as indices into ``terms``.
 
-        # Context: windowed sum of weighted neighbor rows, minus the center's
-        # own row, computed with one prefix-sum pass instead of per-pair adds.
-        half = self.config.half_window
-        prefix = np.cumsum(rows, axis=0)
-        hi = np.minimum(np.arange(n) + half, n - 1)
-        ctx = prefix[hi] - rows
-        lo = np.arange(n) - half - 1
-        inside = lo >= 0
-        if inside.any():
-            ctx[inside] -= prefix[lo[inside]]
-
-        # Order: offset-permuted rows summed over [-span, +span], including
-        # the center's own (identity-permuted) row at offset 0.
-        span = self.config.order_span
-        order_inc = np.zeros_like(rows)
-        for delta in range(-span, span + 1):
-            shifted = rows if delta == 0 else apply_permutation(
-                self.perms.offset_map(delta), rows
-            )
-            a = max(0, -delta)
-            b = n - max(0, delta)
-            if b > a:
-                order_inc[a:b] += shifted[a + delta:b + delta]
-
+        ``ids[i] == -1`` is a hole; a window never spans two positions
+        with different ``sentence_ids``.  ``seeds[k]`` is the seed of
+        ``terms[k]`` already scaled by its weight.  Vectors are added in
+        the space's own float width.
+        """
+        counts, context, order = accumulate_windows(
+            ids, sentence_ids, seeds, self.perms,
+            self.config.half_window, self.config.order_span,
+        )
         entries = self.entries
-        for i in centers:
-            term = tokens[i]
+        for k in np.flatnonzero(counts):
+            term = terms[k]
             entry = entries.get(term)
             if entry is None:
-                entry = entries[term] = TermEntry(np.zeros(dim), np.zeros(dim))
-            entry.context += ctx[i]
-            entry.order += order_inc[i]
-            entry.count += 1
-        self.ingested_tokens += len(centers)
+                entries[term] = TermEntry(
+                    context[k].astype(self.float_dtype, copy=False),
+                    order[k].astype(self.float_dtype, copy=False),
+                    int(counts[k]),
+                )
+            else:
+                entry.context += context[k]
+                entry.order += order[k]
+                entry.count += int(counts[k])
+        self.ingested_tokens += int(counts.sum())
 
-    def ingest_document(self, doc) -> None:
-        for sentence in doc.sentences:
-            self.ingest_sentence(sentence)
+    def widen(self) -> "SemanticSpace":
+        """Convert every vector to 64-bit in place (exact); returns self."""
+        self.float_dtype = np.dtype(np.float64)
+        for entry in self.entries.values():
+            entry.context = entry.context.astype(np.float64, copy=False)
+            entry.order = entry.order.astype(np.float64, copy=False)
+        return self
 
     def term_vector(self, term: str, normalized: bool = False, kind: str = "context") -> np.ndarray:
         """Copy of a term's context or order vector, optionally unit length."""
@@ -299,7 +421,9 @@ class NeighborIndex:
         if kind not in ("context", "order"):
             raise ConfigError(f"kind must be 'context' or 'order', got {kind!r}")
         terms = []
-        rows = []
+        # Filled in place rather than stacked from row copies, so building
+        # the index never holds the matrix twice.
+        matrix = np.empty((len(space.entries), space.config.dim))
         for term in sorted(space.entries):
             entry = space.entries[term]
             if entry.count < min_count:
@@ -308,12 +432,10 @@ class NeighborIndex:
             norm = np.linalg.norm(vec)
             if norm == 0.0:
                 continue
+            np.divide(vec, norm, out=matrix[len(terms)], dtype=np.float64)
             terms.append(term)
-            rows.append(np.asarray(vec, dtype=np.float64) / norm)
         self.terms = np.array(terms) if terms else np.empty(0, dtype="U1")
-        self.matrix = (
-            np.vstack(rows) if rows else np.zeros((0, space.config.dim))
-        )
+        self.matrix = matrix[:len(terms)]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -350,48 +472,57 @@ def ensure_same_config(spaces) -> SpaceConfig:
     return config
 
 
+def warn_mixed_widths(stacklevel: int = 2) -> None:
+    warnings.warn(
+        "combining spaces of mixed float widths; result upcast to 64-bit",
+        stacklevel=stacklevel + 1,
+    )
+
+
 def combine(spaces) -> SemanticSpace:
     """Componentwise sum of spaces sharing one config.
 
-    Counts and token totals add exactly; vectors add in the argument order,
-    so the result is bitwise deterministic for a fixed input order.  Mixing
-    32- and 64-bit spaces upcasts the result to 64-bit with a warning.
+    ``spaces`` may be any iterable; it is folded in order and each input
+    can be released once it has been added, so a generator of loads holds
+    one input at a time.  Counts and token totals add exactly; vectors add
+    in the argument order, so the result is bitwise deterministic for a
+    fixed input order.  Mixing 32- and 64-bit spaces upcasts the result to
+    64-bit with a warning, from the first input whose width differs from
+    the first input's: 32-bit inputs before it are summed in 32-bit.
+    Widen every input first (``SemanticSpace.widen``) to sum all of them
+    in 64-bit.
     """
-    spaces = list(spaces)
-    if not spaces:
-        raise ConfigError("combine needs at least one space")
-    config = ensure_same_config(spaces)
-    dtypes = {space.float_dtype for space in spaces}
-    if len(dtypes) > 1:
-        warnings.warn(
-            "combining spaces of mixed float widths; result upcast to 64-bit",
-            stacklevel=2,
-        )
-        dtype = np.dtype(np.float64)
-    else:
-        dtype = spaces[0].float_dtype
-
-    out = SemanticSpace(
-        config,
-        "+".join(space.epoch_label for space in spaces),
-        float_dtype=dtype,
-    )
-    all_terms = set()
+    out = None
+    labels = []
+    mixed = False
     for space in spaces:
-        all_terms.update(space.entries.keys())
-    dim = config.dim
-    for term in sorted(all_terms):
-        context = np.zeros(dim, dtype=dtype)
-        order = np.zeros(dim, dtype=dtype)
-        count = 0
-        for space in spaces:
-            entry = space.entries.get(term)
-            if entry is not None:
-                context += entry.context
-                order += entry.order
-                count += entry.count
-        out.entries[term] = TermEntry(context, order, count)
-    out.ingested_tokens = sum(space.ingested_tokens for space in spaces)
+        if out is None:
+            # Labelled like the first input until the fold ends, so that
+            # a config mismatch names it.
+            out = SemanticSpace.empty(space.config, space.epoch_label,
+                                      float_dtype=space.float_dtype)
+        ensure_same_config([out, space])
+        if space.float_dtype != out.float_dtype and not mixed:
+            mixed = True
+            warn_mixed_widths()
+            out.widen()
+        labels.append(space.epoch_label)
+        dim = space.config.dim
+        for term, entry in space.entries.items():
+            acc = out.entries.get(term)
+            if acc is None:
+                acc = out.entries[term] = TermEntry(
+                    np.zeros(dim, dtype=out.float_dtype),
+                    np.zeros(dim, dtype=out.float_dtype),
+                )
+            acc.context += entry.context
+            acc.order += entry.order
+            acc.count += entry.count
+        out.ingested_tokens += space.ingested_tokens
+    if out is None:
+        raise ConfigError("combine needs at least one space")
+    out.epoch_label = "+".join(labels)
+    out.entries = {term: out.entries[term] for term in sorted(out.entries)}
     return out
 
 

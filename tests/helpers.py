@@ -18,9 +18,10 @@ ATOL = 1e-9
 
 
 def build_space(config, label, sentences, weights=None):
+    """One space from token sentences, through the accumulation kernel
+    ``driftspace build`` runs once per epoch."""
     space = SemanticSpace(config, label, term_weights=weights)
-    for sentence in sentences:
-        space.ingest_sentence(sentence)
+    space.ingest_sentences(sentences)
     return space
 
 

@@ -1,12 +1,21 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import random
 
 import pytest
 
-from driftspace import cli, load_space
+from driftspace import SpaceConfig, cli, load_space
+from driftspace.corpus import build_filter, count_vocabulary, filtered_stream, read_documents
+from driftspace.space import inverse_log_weights
 
-from helpers import two_phase_epochs, write_epoch_dir
+from helpers import (
+    assert_spaces_close,
+    build_space,
+    sentences_to_text,
+    two_phase_epochs,
+    write_epoch_dir,
+)
 
 BUILD_FLAGS = [
     "--dim", "64", "--window", "5",
@@ -87,6 +96,17 @@ class TestBuild:
             assert sorted(parallel.entries) == sorted(sequential.entries)
             for term, entry in sequential.entries.items():
                 assert parallel.entries[term].count == entry.count
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in built.iterdir())
+        for path in built.iterdir():
+            if path.name == "config.txt":
+                # The run record differs only in the flags that differ.
+                mine = (out / path.name).read_text(encoding="utf-8").splitlines()
+                theirs = path.read_text(encoding="utf-8").splitlines()
+                assert [line for line in mine if not line.startswith(("out=", "workers="))] == [
+                    line for line in theirs if not line.startswith(("out=", "workers="))
+                ]
+            else:
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_workers_env_variable(self, corpus_root, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "2")
@@ -125,6 +145,90 @@ class TestBuild:
              "--min-count", "100000"]
         )
         assert code == cli.EXIT_CONFIG
+
+
+def _mixed_corpus(root, seed=31):
+    """Two epochs whose files hold several documents, one per line, where
+    a line ends mid-sentence, so that --docs-per-line changes windows."""
+    rng = random.Random(seed)
+    vocab = [f"w{i:02d}" for i in range(40)] + ["the", "and", "of"]
+    for label in ("e1", "e2"):
+        (root / label).mkdir(parents=True)
+        for i in range(3):
+            lines = []
+            for _ in range(12):
+                words = [rng.choice(vocab) for _ in range(rng.randint(3, 14))]
+                cut = rng.randint(1, len(words))
+                lines.append(" ".join(words[:cut]) + ". " + " ".join(words[cut:]))
+            (root / label / f"part{i}.txt").write_text("\n".join(lines), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("flags", [
+    ["--no-compaction"],
+    ["--weighting", "inverse_log_frequency"],
+    ["--docs-per-line"],
+    ["--no-compaction", "--weighting", "inverse_log_frequency", "--docs-per-line"],
+])
+def test_cli_build_equals_sentence_ingest(tmp_path, flags):
+    root = _mixed_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    code = cli.main(["build", "--corpus", str(root), "--out", str(out), "--dim", "64",
+                     "--window", "5", "--top-k", "3", "--min-count", "3"] + flags)
+    assert code == cli.EXIT_OK
+    compact = "--no-compaction" not in flags
+    per_line = "--docs-per-line" in flags
+    weighting = "inverse_log_frequency" if "--weighting" in flags else "uniform"
+    config = SpaceConfig(dim=64, window=5, order_span=2, weighting=weighting, compaction=compact)
+    files = {label: sorted((root / label).iterdir()) for label in ("e1", "e2")}
+    stats = count_vocabulary(
+        doc for label in files for doc in read_documents(label, files[label], per_line)
+    )
+    filt = build_filter(stats, top_k=3, min_count=3)
+    weights = inverse_log_weights(stats.counts) if weighting != "uniform" else None
+    for label in files:
+        sentences = [s for doc in read_documents(label, files[label], per_line)
+                     for s in filtered_stream(doc, filt, compact)]
+        expected = build_space(config, label, sentences, weights)
+        built_space = load_space(out / f"{label}.space")
+        assert built_space.ingested_tokens == expected.ingested_tokens
+        assert_spaces_close(built_space, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_reordered_files_and_sentences_build_identical_bytes(tmp_path):
+    epochs = two_phase_epochs(n_epochs=2, switch_after=1, probe_sents=15,
+                              anchor_sents=5, filler_sents=10)
+    rng = random.Random(5)
+    outputs = []
+    for run, n_files in (("a", 4), ("b", 3)):
+        root = tmp_path / run
+        for label, sentences in epochs.items():
+            if run == "b":
+                sentences = sentences[:]
+                rng.shuffle(sentences)
+            write_epoch_dir(root, label, sentences, n_files=n_files)
+        out = tmp_path / f"out-{run}"
+        code = cli.main(["build", "--corpus", str(root), "--out", str(out)] + BUILD_FLAGS)
+        assert code == cli.EXIT_OK
+        outputs.append(out)
+    for name in ("e1.space", "e2.space", "vocabulary.tsv"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_undecodable_corpus_file_is_exit_3(tmp_path, capsys, workers):
+    root = tmp_path / "corpus"
+    for label in ("e1", "e2"):
+        write_epoch_dir(root, label, [["alpha", "beta", "gamma"]] * 5, n_files=2)
+    bad = root / "e2" / "part01.txt"
+    bad.write_bytes(b"alpha beta \xff\xfe gamma.")
+    out = tmp_path / "out"
+    code = cli.main(["build", "--corpus", str(root), "--out", str(out),
+                     "--workers", workers] + BUILD_FLAGS)
+    assert code == cli.EXIT_MISSING
+    assert str(bad) in capsys.readouterr().err
+    left = [p.name for p in out.iterdir()] if out.exists() else []
+    assert not [name for name in left if name.endswith((".space", ".tmp"))]
 
 
 class TestCombine:
@@ -336,6 +440,44 @@ class TestReportsCommands:
         assert "epoch_label=e1" in out
         assert "dim=64" in out
         assert tsv.read_text(encoding="utf-8").startswith("term\tcount\t")
+
+
+# Each analysis command with a term argument, as argv around the term.
+TERM_COMMANDS = {
+    "neighbors": lambda b, t, term: ["neighbors", term, "--space", str(b / "e1.space")],
+    "predict": lambda b, t, term: ["predict", term, "1", "--space", str(b / "e1.space")],
+    "trajectory": lambda b, t, term: ["trajectory", term, "--total", str(t), "--spaces",
+                                      str(b / "e1.space"), str(b / "e2.space"), "--r-size", "20"],
+    "equiv": lambda b, t, term: ["equiv", term, "--anchor-epoch", "e1", "--spaces",
+                                 str(b / "e1.space"), str(b / "e2.space")],
+    "normfreq": lambda b, t, term: ["normfreq", term, "--spaces",
+                                    str(b / "e1.space"), str(b / "e2.space")],
+    "drift": lambda b, t, term: ["drift", "--space0", str(b / "e1.space"), "--space1",
+                                 str(b / "e2.space"), "--min-total-count", "1",
+                                 "--terms", f"{term},mango"],
+}
+
+
+class TestTermArguments:
+    @pytest.mark.parametrize("command", sorted(TERM_COMMANDS))
+    def test_terms_are_normalized_like_the_corpus(self, command, built, total_space, tmp_path):
+        reports = []
+        for term in ("gizmo", "GIZMO", "'Gizmo-"):
+            out = tmp_path / f"run-{len(reports)}"
+            argv = TERM_COMMANDS[command](built, total_space, term)
+            assert cli.main(argv + ["--out", str(out), "--format", "json"]) == cli.EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    @pytest.mark.parametrize("command", sorted(TERM_COMMANDS))
+    @pytest.mark.parametrize("term", ["giz mo", "u.s.", "'-'", "_"])
+    def test_a_term_that_is_not_one_token_is_exit_2(self, command, term, built,
+                                                     total_space, tmp_path, capsys):
+        argv = TERM_COMMANDS[command](built, total_space, term)
+        code = cli.main(argv + ["--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_CONFIG
+        capsys.readouterr()
 
 
 class TestConfigFile:

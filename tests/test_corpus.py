@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,17 @@ from driftspace.corpus import (
     Document,
     VocabularyStats,
     build_filter,
+    count_ids,
     count_vocabulary,
     epoch_labels,
+    filtered_ids,
     filtered_stream,
     iter_documents,
     list_epoch_files,
+    merge_vocabularies,
     read_documents,
+    read_token_ids,
+    retained_ids,
     tokenize,
     write_stats_tsv,
 )
@@ -199,6 +205,66 @@ class TestCorpusLayout:
     def test_empty_root(self, tmp_path):
         with pytest.raises(MissingDataError):
             epoch_labels(tmp_path)
+
+
+class TestTokenIds:
+    """The id path of the build against the Document path it replaces."""
+
+    TEXTS = {
+        "a.txt": "The cat sat on the mat. The cat ran!\nA dog, the dog; sat.",
+        "b.txt": "Mat and cat.\n\nThe end of the mat",
+        "c.txt": "",
+    }
+
+    def _files(self, tmp_path):
+        paths = []
+        for name, text in self.TEXTS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            paths.append(tmp_path / name)
+        return paths
+
+    @pytest.mark.parametrize("docs_per_line", [False, True])
+    def test_ids_spell_the_documents(self, tmp_path, docs_per_line):
+        for path in self._files(tmp_path):
+            got = read_token_ids(path, docs_per_line)
+            want = [s for d in read_documents("e", [path], docs_per_line) for s in d.sentences]
+            assert [len(s) for s in want] == got.lengths.tolist()
+            assert [t for s in want for t in s] == [got.terms[i] for i in got.ids]
+
+    def test_merged_counts_equal_count_vocabulary(self, tmp_path):
+        paths = self._files(tmp_path)
+        terms, ids = merge_vocabularies([read_token_ids(p) for p in paths])
+        assert len(set(terms)) == len(terms)
+        assert count_ids(terms, ids).counts == count_vocabulary(read_documents("e", paths)).counts
+
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_filtered_ids_equal_filtered_stream(self, tmp_path, compact):
+        paths = self._files(tmp_path)
+        files = [read_token_ids(p) for p in paths]
+        terms, ids = merge_vocabularies(files)
+        filt = build_filter(count_ids(terms, ids), top_k=1, min_count=2)
+        retained, index = retained_ids(terms, filt)
+        assert retained == sorted(filt.retained)
+        assert [retained[i] for i in index if i >= 0] == [t for t in terms if filt.keeps(t)]
+        got, sentence_ids = filtered_ids(np.concatenate(ids),
+                                         np.concatenate([f.lengths for f in files]),
+                                         index, compact)
+        want = [s for d in read_documents("e", paths)
+                for s in filtered_stream(d, filt, compact)]
+        # Sentences with no retained token vanish from the stream; what
+        # remains, grouped by sentence, must match it exactly.
+        rebuilt = {}
+        for i, sid in zip(got.tolist(), sentence_ids.tolist()):
+            rebuilt.setdefault(sid, []).append(None if i < 0 else retained[i])
+        assert [s for s in rebuilt.values() if any(t is not None for t in s)] == want
+
+    def test_invalid_utf8_is_missing_data_naming_the_file(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"fine words \xff\xfe then more")
+        with pytest.raises(MissingDataError, match="bad.txt"):
+            read_token_ids(bad)
+        with pytest.raises(MissingDataError, match="bad.txt"):
+            list(read_documents("e", [bad]))
 
 
 class TestStatsTsv:

@@ -1,7 +1,9 @@
 """Binary space files: round trips, canonical bytes, corruption detection."""
 
+import os
 import random
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from driftspace import (
     load_space,
     save_space,
 )
-from driftspace.persistence import FORMAT_VERSION, MAGIC, write_space_tsv
+from driftspace.persistence import FORMAT_VERSION, MAGIC, load_header, write_space_tsv
 
 from helpers import build_space, random_sentences
 
@@ -63,6 +65,48 @@ class TestRoundTrip:
         save_space(space, tmp_path / "a.space")
         assert [p.name for p in tmp_path.iterdir()] == ["a.space"]
 
+    def test_concurrent_saves_to_one_path(self, space, tmp_path):
+        rng = random.Random(73)
+        other = build_space(CFG, "1988", random_sentences(rng, ["p", "q", "r"], 20))
+        target = tmp_path / "shared.space"
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def writer(which):
+            try:
+                barrier.wait()
+                for _ in range(5):
+                    save_space(which, target)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(s,)) for s in (space, other)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert load_space(target) in (space, other)
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.space"]
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_write_leaves_no_temp_file(self, space, tmp_path, monkeypatch, failing):
+        def boom(*args):
+            raise OSError(f"injected {failing} failure")
+
+        monkeypatch.setattr(os, failing, boom)
+        with pytest.raises(OSError, match="injected"):
+            save_space(space, tmp_path / "a.space")
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_saved_file_mode_follows_the_umask(self, space, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = save_space(space, tmp_path / "a.space")
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_combine_commutes_with_save_load(self, tmp_path):
         rng = random.Random(72)
         vocab = [f"v{i:02d}" for i in range(10)]
@@ -89,6 +133,28 @@ class TestFloatWidth:
             np.testing.assert_allclose(narrow.context, entry.context, rtol=1e-6)
             assert narrow.count == entry.count
 
+    def test_ingest_keeps_a_loaded_float32_width(self, space, tmp_path):
+        narrow = load_space(save_space(space, tmp_path / "narrow.space", float_width=32))
+        assert "fresh" not in narrow and "v00" in narrow
+        narrow.ingest_sentence(["fresh", "v00"])
+        for term in ("fresh", "v00"):
+            assert narrow.entries[term].context.dtype == np.float32
+            assert narrow.entries[term].order.dtype == np.float32
+        first = save_space(narrow, tmp_path / "again.space")
+        reloaded = load_space(first)
+        assert reloaded == narrow
+        assert save_space(reloaded, tmp_path / "third.space").read_bytes() == first.read_bytes()
+
+    def test_weighted_space_loads_but_refuses_ingest(self, tmp_path):
+        config = SpaceConfig(dim=32, window=5, weighting="inverse_log_frequency")
+        weights = {"a": 0.5, "b": 0.25}
+        built = build_space(config, "w", [["a", "b", "a"]], weights=weights)
+        loaded = load_space(save_space(built, tmp_path / "w.space"))
+        assert loaded == built
+        with pytest.raises(ConfigError):
+            loaded.ingest_sentence(["a", "b"])
+        assert combine([loaded, loaded]).count("a") == 4
+
     def test_float32_files_are_smaller(self, space, tmp_path):
         wide = save_space(space, tmp_path / "wide.space").stat().st_size
         narrow = save_space(space, tmp_path / "narrow.space", float_width=32).stat().st_size
@@ -100,6 +166,53 @@ class TestFloatWidth:
         with pytest.warns(UserWarning, match="mixed float widths"):
             merged = combine([narrow, wide])
         assert merged.float_dtype == np.dtype(np.float64)
+
+    def _mixed_inputs(self, space, tmp_path):
+        other = build_space(CFG, "1988", random_sentences(random.Random(72), sorted(space.entries), 40))
+        paths = [
+            save_space(space, tmp_path / "n1.space", float_width=32),
+            save_space(other, tmp_path / "n2.space", float_width=32),
+            save_space(space, tmp_path / "w.space"),
+        ]
+        return paths, [load_space(path) for path in paths]
+
+    def test_mixed_width_fold_widens_at_first_change(self, space, tmp_path):
+        _, (n1, n2, wide) = self._mixed_inputs(space, tmp_path)
+        with pytest.warns(UserWarning, match="mixed float widths"):
+            merged = combine(iter([n1, n2, wide]))
+        for term, entry in merged.entries.items():
+            narrow_sum = np.zeros(CFG.dim, dtype=np.float32)
+            for part in (n1, n2):
+                if term in part:
+                    narrow_sum += part.entries[term].context
+            expected = narrow_sum.astype(np.float64) + wide.entries[term].context
+            assert np.array_equal(entry.context, expected)
+
+    def test_cli_combine_sums_mixed_widths_in_64_bit(self, space, tmp_path):
+        from driftspace import cli
+
+        paths, inputs = self._mixed_inputs(space, tmp_path)
+        out = tmp_path / "total.space"
+        with pytest.warns(UserWarning, match="mixed float widths"):
+            code = cli.main(["combine", *map(str, paths), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        merged = load_space(out)
+        assert merged.float_dtype == np.dtype(np.float64)
+        for term, entry in merged.entries.items():
+            expected = np.zeros(CFG.dim)
+            for part in inputs:
+                if term in part:
+                    expected += part.entries[term].context
+            assert np.array_equal(entry.context, expected)
+        assert merged == combine([part.widen() for part in inputs])
+
+    def test_load_header_matches_load_space(self, space, tmp_path):
+        path = save_space(space, tmp_path / "n.space", float_width=32)
+        header = load_header(path)
+        loaded = load_space(path)
+        assert (header.config, header.epoch_label, header.float_dtype, header.ingested_tokens) == (
+            loaded.config, loaded.epoch_label, loaded.float_dtype, loaded.ingested_tokens)
+        assert len(header) == 0
 
     def test_bad_width_rejected(self, space, tmp_path):
         with pytest.raises(ConfigError):
@@ -142,6 +255,13 @@ class TestCorruption:
             load_space(bad)
         assert err.value.offset == cut
         assert err.value.expected > cut
+
+    def test_empty_file_is_truncated(self, tmp_path):
+        bad = tmp_path / "empty.space"
+        bad.write_bytes(b"")
+        with pytest.raises(TruncatedFileError) as err:
+            load_space(bad)
+        assert err.value.offset == 0
 
     def test_truncated_header(self, blob, tmp_path):
         data, _ = blob

@@ -1,7 +1,9 @@
 """Space accumulation, combination, and neighbor queries."""
 
+import gc
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from driftspace import (
     combine,
     norm_frequency_series,
 )
+from driftspace import space as space_module
 from driftspace.space import inverse_log_weights
 from driftspace.vectors import apply_permutation, make_permutations, seed_vector
 
@@ -193,6 +196,34 @@ class TestIngestion:
         space.ingest_sentence([])
         assert len(space) == 0
 
+    def test_sentence_at_a_time_matches_one_batch(self):
+        rng = random.Random(108)
+        vocab = [f"v{i:02d}" for i in range(15)]
+        sentences = [
+            [None if rng.random() < 0.2 else tok for tok in sentence]
+            for sentence in random_sentences(rng, vocab, 60, min_len=1, max_len=9)
+        ]
+        weights = {tok: 0.5 + 0.1 * i for i, tok in enumerate(vocab)}
+        batch = build_space(SMALL, "e", sentences, weights=weights)
+        single = SemanticSpace(SMALL, "e", term_weights=weights)
+        for sentence in sentences:
+            single.ingest_sentence(sentence)
+        assert single.ingested_tokens == batch.ingested_tokens
+        assert_spaces_close(single, batch, rtol=1e-12, atol=1e-12)
+
+    def test_blocked_pair_counts_match_one_block(self, monkeypatch):
+        rng = random.Random(110)
+        vocab = [f"v{i:02d}" for i in range(15)]
+        sentences = [
+            [None if rng.random() < 0.2 else tok for tok in sentence]
+            for sentence in random_sentences(rng, vocab, 60, min_len=1, max_len=9)
+        ]
+        whole = build_space(SMALL, "e", sentences)
+        # Blocks of a few tokens, cut only at sentence starts.
+        monkeypatch.setattr(space_module, "_BLOCK_TOKENS", 7)
+        blocked = build_space(SMALL, "e", sentences)
+        assert blocked == whole
+
     def test_counts_conserve_tokens(self):
         rng = random.Random(104)
         sentences = random_sentences(rng, ["a", "b", "c"], 25, min_len=1, max_len=6)
@@ -209,6 +240,8 @@ class TestIngestion:
         a = build_space(SMALL, "e", sentences)
         b = build_space(SMALL, "e", shuffled)
         assert_spaces_close(a, b)
+        # Pair counts are integers, so within one batch order is exact.
+        assert a == b
         for term in vocab[:5]:
             qa = a.term_vector(term, normalized=True)
             qb = b.term_vector(term, normalized=True)
@@ -390,12 +423,30 @@ class TestCombine:
         a = build_space(SMALL, "a", [["x", "y"]])
         other = SpaceConfig(dim=64, window=7, order_span=2, global_seed=3, perm_seed=4)
         b = build_space(other, "b", [["x", "y"]])
-        with pytest.raises(CombineMismatchError):
+        with pytest.raises(CombineMismatchError, match="labels 'a' vs 'b'"):
             combine([a, b])
 
     def test_empty_combine_rejected(self):
         with pytest.raises(ConfigError):
             combine([])
+        with pytest.raises(ConfigError):
+            combine(iter([]))
+
+    def test_generator_is_folded_one_input_at_a_time(self):
+        _, shards = self._shards(n_shards=4)
+        alive = []
+
+        def one_at_a_time():
+            for k, shard in enumerate(shards):
+                gc.collect()
+                # Only the input just before this one may still be held.
+                assert [ref() is None for ref in alive[:-1]] == [True] * max(0, k - 1)
+                clone = pickle.loads(pickle.dumps(shard))
+                alive.append(weakref.ref(clone))
+                yield clone
+                del clone
+
+        assert combine(one_at_a_time()) == combine(shards)
 
 
 class TestNormFrequency:
