@@ -53,11 +53,8 @@ from .space import (
 )
 from .vectors import (
     PermutationSet,
-    add_scaled,
     apply_permutation,
     cosine,
-    make_permutations,
-    normalize,
     seed_vector,
     token_hash,
 )
@@ -89,7 +86,6 @@ __all__ = [
     "VersionMismatchError",
     "VocabularyFilter",
     "VocabularyStats",
-    "add_scaled",
     "apply_permutation",
     "build_filter",
     "combine",
@@ -100,9 +96,7 @@ __all__ = [
     "filtered_stream",
     "inverse_log_weights",
     "load_space",
-    "make_permutations",
     "norm_frequency_series",
-    "normalize",
     "predict_position",
     "qualifier_gender",
     "save_space",

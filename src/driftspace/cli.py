@@ -184,21 +184,22 @@ def _read_terms_file(path) -> list:
     if not path.is_file():
         raise MissingDataError(f"terms file not found: {path}")
     terms = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip().lower()
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            terms.append(stripped)
+            terms.append(_normalize_term(stripped, where=f"{path}:{lineno}: "))
     if not terms:
         raise ConfigError(f"terms file is empty: {path}")
     return list(dict.fromkeys(terms))
 
 
-def _normalize_term(raw: str) -> str:
+def _normalize_term(raw: str, where: str = "") -> str:
     """A term argument under the tokenizer's rules (lowercase, trimmed
-    hyphens and apostrophes); anything that is not one token is an error."""
+    hyphens and apostrophes); anything that is not one token is an error,
+    whose message starts with ``where``."""
     sentences = corpus.tokenize(raw)
     if len(sentences) != 1 or len(sentences[0]) != 1:
-        raise ConfigError(f"term {raw!r} is not a single token")
+        raise ConfigError(f"{where}term {raw!r} is not a single token")
     return sentences[0][0]
 
 
@@ -217,10 +218,10 @@ def _load_spaces(paths) -> list:
 
 
 def _emit(ns: argparse.Namespace, report) -> int:
-    fmt = ns.format
-    sys.stdout.write(reports.render(report, fmt))
+    text = reports.render(report, ns.format)
+    sys.stdout.write(text)
     out_dir = Path(ns.out)
-    path = reports.write_report(report, out_dir, fmt)
+    path = reports.write_report(text, out_dir, ns.format)
     _write_run_config(out_dir, ns)
     print(f"report written to {path}", file=sys.stderr)
     return EXIT_OK
@@ -235,7 +236,7 @@ def _build_epoch(task):
     space = SemanticSpace.empty(config, label)
     space.ingest_ids(terms, ids, sentence_ids, seeds)
     persistence.save_space(space, path, float_width=float_width)
-    return path, len(space.entries), space.ingested_tokens
+    return path, len(space), space.ingested_tokens
 
 
 def _ordered_map(pool, workers, fn, tasks):
@@ -339,13 +340,15 @@ def cmd_combine(ns: argparse.Namespace) -> int:
     # A generator, so each input is loaded when the fold reaches it.
     spaces = (persistence.load_space(path) for path in ns.spaces)
     # The headers give every input's width up front: with mixed widths all
-    # inputs are widened as they load, so every sum is 64-bit.
-    if len({persistence.load_header(path).float_dtype for path in ns.spaces}) > 1:
+    # inputs are widened as they load, so every sum is 64-bit.  Their term
+    # tables give the union, so the result is allocated once.
+    headers = [persistence.load_header(path) for path in ns.spaces]
+    if len({header.float_dtype for header, _ in headers}) > 1:
         warn_mixed_widths()
         spaces = (space.widen() for space in spaces)
-    merged = combine(spaces)
+    merged = combine(spaces, functools.reduce(np.union1d, [terms for _, terms in headers]))
     path = persistence.save_space(merged, ns.out)
-    print(f"{path}: {len(merged.entries)} terms from {len(ns.spaces)} spaces")
+    print(f"{path}: {len(merged)} terms from {len(ns.spaces)} spaces")
     return EXIT_OK
 
 
@@ -464,7 +467,7 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
     space = persistence.load_space(ns.space)
     config = space.config
     print(f"epoch_label={space.epoch_label}")
-    print(f"terms={len(space.entries)} ingested_tokens={space.ingested_tokens}")
+    print(f"terms={len(space)} ingested_tokens={space.ingested_tokens}")
     print(
         f"dim={config.dim} window={config.window} order_span={config.order_span} "
         f"global_seed={config.global_seed} perm_seed={config.perm_seed} "

@@ -15,7 +15,8 @@ from statistics import fmean
 import numpy as np
 
 from .errors import ConfigError, MissingDataError, TermNotFoundError, UndefinedSimilarityError
-from .space import NeighborIndex, SemanticSpace, ensure_same_config
+from .space import (NeighborIndex, SemanticSpace, ensure_same_config, row_norms, seed_matrix,
+                    top_ranked)
 from .vectors import apply_permutation
 
 # Category boundaries on the inter-period similarity, highest first:
@@ -104,15 +105,13 @@ def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int =
     per_epoch_count = {}
     for label in sorted(spaces):
         space = spaces[label]
-        scored = []
-        for candidate in representatives:
-            entry = space.entries.get(candidate)
-            if entry is None:
-                continue
-            norm = np.linalg.norm(entry.context)
-            if norm == 0.0:
-                continue
-            scored.append((candidate, float(np.dot(entry.context, anchor) / norm)))
+        candidates = [t for t in representatives if t in space]
+        vectors = space.context[[space.row(t) for t in candidates]]
+        norms = row_norms(vectors)
+        keep = np.flatnonzero(norms)
+        # vecdot takes one BLAS dot per row: the bits of np.dot(row, anchor).
+        sims = np.vecdot(vectors[keep], anchor) / norms[keep]
+        scored = [(candidates[i], float(s)) for i, s in zip(keep.tolist(), sims)]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         per_epoch[label] = scored[:top_n]
         per_epoch_count[label] = space.count(term)
@@ -148,34 +147,35 @@ def drift(space0: SemanticSpace, space1: SemanticSpace, min_total_count: int = 1
     if terms is not None:
         candidates = sorted(set(terms))
     else:
-        candidates = sorted(set(space0.entries) | set(space1.entries))
-    index0 = NeighborIndex(space0, min_count=neighbor_min_count)
-    index1 = NeighborIndex(space1, min_count=neighbor_min_count)
+        candidates = np.union1d(space0.terms, space1.terms).tolist()
+    index0 = space0.neighbor_index(min_count=neighbor_min_count)
+    index1 = space1.neighbor_index(min_count=neighbor_min_count)
 
-    records = []
     excluded = {}
+    kept, rows0, rows1 = [], [], []
     for term in candidates:
+        k0, k1 = space0.row(term), space1.row(term)
         if term in excluded_terms:
             excluded[term] = "excluded"
-            continue
-        entry0 = space0.entries.get(term)
-        entry1 = space1.entries.get(term)
-        if entry0 is None:
+        elif k0 is None:
             excluded[term] = "absent-period0"
-            continue
-        if entry1 is None:
+        elif k1 is None:
             excluded[term] = "absent-period1"
-            continue
-        if entry0.count + entry1.count < min_total_count:
+        elif space0.counts[k0] + space1.counts[k1] < min_total_count:
             excluded[term] = "below-min-count"
-            continue
-        norm0 = np.linalg.norm(entry0.context)
-        norm1 = np.linalg.norm(entry1.context)
-        if norm0 == 0.0 or norm1 == 0.0:
-            excluded[term] = "zero-vector"
-            continue
-        v0 = np.asarray(entry0.context, dtype=np.float64) / norm0
-        v1 = np.asarray(entry1.context, dtype=np.float64) / norm1
+        else:
+            kept.append(term)
+            rows0.append(k0)
+            rows1.append(k1)
+    context0, context1 = space0.context[rows0], space1.context[rows1]
+    norms0, norms1 = row_norms(context0), row_norms(context1)
+    nonzero = (norms0 != 0.0) & (norms1 != 0.0)
+    excluded.update((kept[i], "zero-vector") for i in np.flatnonzero(~nonzero).tolist())
+    units0 = np.divide(context0[nonzero], norms0[nonzero, None], dtype=np.float64)
+    units1 = np.divide(context1[nonzero], norms1[nonzero, None], dtype=np.float64)
+    records = []
+    for i, v0, v1 in zip(np.flatnonzero(nonzero).tolist(), units0, units1):
+        term = kept[i]
         sigma01 = float(np.dot(v0, v1))
         records.append(
             DriftRecord(
@@ -188,6 +188,17 @@ def drift(space0: SemanticSpace, space1: SemanticSpace, min_total_count: int = 1
         )
     records.sort(key=lambda record: (record.sigma01, record.term))
     return DriftReport(space0.epoch_label, space1.epoch_label, records, excluded)
+
+
+def _unit_rows(space: SemanticSpace, terms):
+    """Those of ``terms`` the space holds with a nonzero context vector,
+    and those vectors at unit length in 64-bit."""
+    present = [t for t in terms if t in space]
+    vectors = space.context[[space.row(t) for t in present]]
+    norms = row_norms(vectors)
+    keep = np.flatnonzero(norms)
+    units = np.divide(vectors[keep], norms[keep, None], dtype=np.float64)
+    return [present[i] for i in keep.tolist()], units
 
 
 def qualifier_gender(epoch_spaces, qualifiers, man_terms, woman_terms,
@@ -218,29 +229,11 @@ def qualifier_gender(epoch_spaces, qualifiers, man_terms, woman_terms,
     margins: dict = {q: [] for q in qualifiers}
     for label in labels:
         space = spaces[label]
-        side_vectors = []
-        for side in (man_terms, woman_terms):
-            rows = []
-            for gendered in side:
-                entry = space.entries.get(gendered)
-                if entry is None:
-                    continue
-                norm = np.linalg.norm(entry.context)
-                if norm == 0.0:
-                    continue
-                rows.append(np.asarray(entry.context, dtype=np.float64) / norm)
-            side_vectors.append(np.vstack(rows) if rows else None)
-        man_matrix, woman_matrix = side_vectors
-        if man_matrix is None or woman_matrix is None:
+        man_matrix = _unit_rows(space, man_terms)[1]
+        woman_matrix = _unit_rows(space, woman_terms)[1]
+        if not len(man_matrix) or not len(woman_matrix):
             continue
-        for qualifier in qualifiers:
-            entry = space.entries.get(qualifier)
-            if entry is None:
-                continue
-            norm = np.linalg.norm(entry.context)
-            if norm == 0.0:
-                continue
-            vec = np.asarray(entry.context, dtype=np.float64) / norm
+        for qualifier, vec in zip(*_unit_rows(space, qualifiers)):
             sigma_m = float(np.max(man_matrix @ vec))
             sigma_w = float(np.max(woman_matrix @ vec))
             votes[(qualifier, label)] = "female" if sigma_w > sigma_m else "male"
@@ -289,6 +282,7 @@ def equivalents(epoch_spaces, term: str, anchor_epoch: str, top_k: int = 2,
 
     per_epoch = {}
     for label in sorted(spaces):
+        # One query per epoch: an index kept on each space would only hold memory.
         index = NeighborIndex(spaces[label], min_count=min_count)
         hits = index.query(anchor, top_k, exclude={term} if exclude_self else ())
         per_epoch[label] = hits if hits else None
@@ -312,21 +306,15 @@ def predict_position(space: SemanticSpace, term: str, offset: int, top_n: int = 
         raise ConfigError(
             f"offset must be a nonzero integer within +-{span}, got {offset}"
         )
-    entry = space.entries.get(term)
-    if entry is None:
+    k = space.row(term)
+    if k is None:
         raise TermNotFoundError(term)
-    order = np.asarray(entry.order, dtype=np.float64)
+    order = np.asarray(space.order[k], dtype=np.float64)
     if np.linalg.norm(order) == 0.0:
         raise UndefinedSimilarityError(f"term {term!r} has a zero order vector")
     probe = apply_permutation(space.perms.offset_map(-offset), order)
 
-    eligible = sorted(
-        t for t, e in space.entries.items() if e.count >= min_count
-    )
-    if not eligible:
+    eligible = space.terms[space.counts >= min_count]
+    if not len(eligible):
         return []
-    seeds = np.vstack([space.seed(t) for t in eligible])
-    scores = seeds @ probe
-    ranked = np.lexsort((np.array(eligible), -scores))
-    top_n = min(top_n, len(eligible))
-    return [(eligible[i], float(scores[i])) for i in ranked[:top_n]]
+    return top_ranked(seed_matrix(eligible.tolist(), space.config) @ probe, eligible, top_n)

@@ -335,11 +335,12 @@ def render(report, fmt: str) -> str:
     return to_pretty(report) + "\n"
 
 
-def write_report(report, out_dir, fmt: str) -> Path:
-    """Render ``report`` into ``out_dir/report.<ext>`` and return the path."""
+def write_report(text: str, out_dir, fmt: str) -> Path:
+    """Write a report rendered in ``fmt`` to ``out_dir/report.<ext>`` and
+    return the path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = {"tsv": "tsv", "json": "json", "pretty": "txt"}[fmt]
     path = out_dir / f"report.{ext}"
-    path.write_text(render(report, fmt), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path

@@ -1,12 +1,13 @@
 """Semantic-space accumulation and queries.
 
-A SemanticSpace maps each retained term to three things accumulated over
-every sliding window centered on that term: an unnormalized context vector
-(sum of neighbor seed vectors), an unnormalized order vector (sum of
+A SemanticSpace holds, for each retained term, three things accumulated
+over every sliding window centered on that term: an unnormalized context
+vector (sum of neighbor seed vectors), an unnormalized order vector (sum of
 offset-permuted seed vectors, including the center's own seed at offset 0),
-and a center count.  Accumulation is linear, so spaces built on parts of a
-corpus under the same config combine by plain summation into the space of
-the whole corpus, up to float summation order.
+and a center count, as rows of term-indexed matrices.  Accumulation is
+linear, so spaces built on parts of a corpus under the same config combine
+by plain summation into the space of the whole corpus, up to float
+summation order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,15 +73,12 @@ class SpaceConfig:
         return (self.window - 1) // 2
 
 
-class TermEntry:
-    """Accumulated state for one term: context vector, order vector, count."""
+class TermEntry(NamedTuple):
+    """One term's row of a space (see ``SemanticSpace.entries``)."""
 
-    __slots__ = ("context", "order", "count")
-
-    def __init__(self, context: np.ndarray, order: np.ndarray, count: int = 0):
-        self.context = context
-        self.order = order
-        self.count = count
+    context: np.ndarray
+    order: np.ndarray
+    count: int
 
 
 def inverse_log_weights(counts) -> dict:
@@ -218,6 +217,10 @@ def accumulate_windows(ids, sentence_ids, seeds, perms: PermutationSet,
 class SemanticSpace:
     """Mutable accumulator for one epoch (or a combination of epochs).
 
+    The space is term-indexed: ``terms`` is a sorted array of unique terms,
+    and row k of ``counts`` (int64), ``context`` and ``order`` (V x dim,
+    in the space's float width) belongs to ``terms[k]``.
+
     ``term_weights`` optionally maps each token to its accumulation
     coefficient; the build pipeline passes None for uniform weighting and
     the inverse-log map otherwise.  Weights are a build-time input only:
@@ -232,12 +235,12 @@ class SemanticSpace:
             )
         self.config = config
         self.epoch_label = epoch_label
-        self.entries: dict[str, TermEntry] = {}
         self.ingested_tokens = 0
-        self.float_dtype = np.dtype(float_dtype)
         self._term_weights = term_weights
-        self._seed_cache: dict[str, np.ndarray] = {}
         self._perms = None
+        vectors = np.zeros((0, config.dim), dtype=float_dtype)
+        self.set_rows(np.array([], dtype=str), np.zeros(0, dtype=np.int64), vectors,
+                      vectors.copy())
 
     @classmethod
     def empty(cls, config: SpaceConfig, epoch_label: str, float_dtype=np.float64):
@@ -248,26 +251,45 @@ class SemanticSpace:
         weights = None if config.weighting == "uniform" else {}
         return cls(config, epoch_label, term_weights=weights, float_dtype=float_dtype)
 
+    def set_rows(self, terms, counts, context, order) -> None:
+        """Replace every row.  ``terms`` must be sorted and unique; the
+        arrays are kept as given, and their float width becomes the
+        space's."""
+        self.terms = terms
+        self.counts = counts
+        self.context = context
+        self.order = order
+        self._rows = None
+        self._indexes = {}
+
+    _ROWS = ("terms", "counts", "context", "order")
+
     # Transient caches are rebuilt on demand; keep pickles small by not
     # shipping them.
     def __getstate__(self):
-        return {
-            "config": self.config,
-            "epoch_label": self.epoch_label,
-            "entries": self.entries,
-            "ingested_tokens": self.ingested_tokens,
-            "float_dtype": self.float_dtype,
-        }
+        return {name: getattr(self, name)
+                for name in ("config", "epoch_label", "ingested_tokens") + self._ROWS}
 
     def __setstate__(self, state):
-        self.config = state["config"]
-        self.epoch_label = state["epoch_label"]
-        self.entries = state["entries"]
-        self.ingested_tokens = state["ingested_tokens"]
-        self.float_dtype = state["float_dtype"]
         self._term_weights = None
-        self._seed_cache = {}
         self._perms = None
+        self.set_rows(*(state.pop(name) for name in self._ROWS))
+        self.__dict__.update(state)
+
+    @property
+    def float_dtype(self) -> np.dtype:
+        return self.context.dtype
+
+    @property
+    def entries(self) -> dict:
+        """``{term: TermEntry}`` built on each access, whose vectors are
+        writable views of the rows.  Access drops the cached neighbor
+        indexes, which edits made through the views would leave stale."""
+        self._indexes = {}
+        return {
+            term: TermEntry(self.context[k], self.order[k], count)
+            for k, (term, count) in enumerate(zip(self.terms.tolist(), self.counts.tolist()))
+        }
 
     @property
     def perms(self) -> PermutationSet:
@@ -278,41 +300,34 @@ class SemanticSpace:
         return self._perms
 
     def seed(self, token: str) -> np.ndarray:
-        vec = self._seed_cache.get(token)
-        if vec is None:
-            vec = seed_vector(token, self.config.dim, self.config.global_seed)
-            self._seed_cache[token] = vec
-        return vec
+        return seed_vector(token, self.config.dim, self.config.global_seed)
+
+    def row(self, term: str):
+        """Index of ``term`` in ``terms`` (its row in ``counts``, ``context``
+        and ``order``), or None if the space does not hold it."""
+        if self._rows is None:
+            self._rows = {t: k for k, t in enumerate(self.terms.tolist())}
+        return self._rows.get(term)
 
     def __contains__(self, term: str) -> bool:
-        return term in self.entries
+        return self.row(term) is not None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.terms)
 
     def count(self, term: str) -> int:
-        entry = self.entries.get(term)
-        return 0 if entry is None else entry.count
+        k = self.row(term)
+        return 0 if k is None else int(self.counts[k])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemanticSpace):
             return NotImplemented
-        if (
-            self.config != other.config
-            or self.epoch_label != other.epoch_label
-            or self.ingested_tokens != other.ingested_tokens
-            or self.entries.keys() != other.entries.keys()
-        ):
-            return False
-        for term, entry in self.entries.items():
-            theirs = other.entries[term]
-            if entry.count != theirs.count:
-                return False
-            if not np.array_equal(entry.context, theirs.context):
-                return False
-            if not np.array_equal(entry.order, theirs.order):
-                return False
-        return True
+        return (
+            (self.config, self.epoch_label, self.ingested_tokens)
+            == (other.config, other.epoch_label, other.ingested_tokens)
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in self._ROWS)
+        )
 
     __hash__ = None
 
@@ -338,54 +353,77 @@ class SemanticSpace:
         index = {term: k for k, term in enumerate(terms)}
         ids = np.array([-1 if tok is None else index[tok] for tok in tokens], dtype=np.int64)
         sentence_ids = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
-        seeds = _weighted(np.vstack([self.seed(term) for term in terms]), terms,
-                          self._term_weights)
-        self.ingest_ids(terms, ids, sentence_ids, seeds)
+        self.ingest_ids(terms, ids, sentence_ids,
+                        seed_matrix(terms, self.config, self._term_weights))
 
     def ingest_ids(self, terms, ids, sentence_ids, seeds) -> None:
-        """Accumulate a token stream given as indices into ``terms``.
+        """Accumulate a token stream given as indices into ``terms``, which
+        must be sorted and unique.
 
         ``ids[i] == -1`` is a hole; a window never spans two positions
         with different ``sentence_ids``.  ``seeds[k]`` is the seed of
         ``terms[k]`` already scaled by its weight.  Vectors are added in
         the space's own float width.
         """
+        terms = np.array(terms, dtype=str)
+        if np.any(terms[1:] <= terms[:-1]):
+            raise ValueError("ingest_ids needs sorted, unique terms")
         counts, context, order = accumulate_windows(
             ids, sentence_ids, seeds, self.perms,
             self.config.half_window, self.config.order_span,
         )
-        entries = self.entries
-        for k in np.flatnonzero(counts):
-            term = terms[k]
-            entry = entries.get(term)
-            if entry is None:
-                entries[term] = TermEntry(
-                    context[k].astype(self.float_dtype, copy=False),
-                    order[k].astype(self.float_dtype, copy=False),
-                    int(counts[k]),
-                )
-            else:
-                entry.context += context[k]
-                entry.order += order[k]
-                entry.count += int(counts[k])
+        present = np.flatnonzero(counts)
+        if len(present) < len(terms):
+            terms, counts, context, order = (
+                terms[present], counts[present], context[present], order[present])
+        if len(self) == 0:
+            # A fresh space takes the kernel's matrices rather than a sum into zeros.
+            dtype = self.float_dtype
+            self.set_rows(terms, counts, context.astype(dtype, copy=False),
+                          order.astype(dtype, copy=False))
+        else:
+            self._add(terms, counts, context, order)
         self.ingested_tokens += int(counts.sum())
+
+    def _grow(self, terms) -> np.ndarray:
+        """Extend the vocabulary to its union with sorted ``terms`` (new
+        rows are zero) and return the rows of ``terms``."""
+        rows = np.searchsorted(self.terms, terms)
+        if len(self) and np.array_equal(self.terms[np.minimum(rows, len(self) - 1)], terms):
+            return rows
+        union = np.union1d(self.terms, terms)
+        old = np.searchsorted(union, self.terms)
+        grown = []
+        for array in (self.counts, self.context, self.order):
+            wider = np.zeros((len(union),) + array.shape[1:], dtype=array.dtype)
+            wider[old] = array
+            grown.append(wider)
+        self.set_rows(union, *grown)
+        return np.searchsorted(self.terms, terms)
+
+    def _add(self, terms, counts, context, order) -> None:
+        """Indexed add of rows given for sorted ``terms``."""
+        rows = self._grow(terms)
+        self.counts[rows] += counts
+        self.context[rows] += context
+        self.order[rows] += order
+        self._indexes = {}
 
     def widen(self) -> "SemanticSpace":
         """Convert every vector to 64-bit in place (exact); returns self."""
-        self.float_dtype = np.dtype(np.float64)
-        for entry in self.entries.values():
-            entry.context = entry.context.astype(np.float64, copy=False)
-            entry.order = entry.order.astype(np.float64, copy=False)
+        self.context = self.context.astype(np.float64, copy=False)
+        self.order = self.order.astype(np.float64, copy=False)
+        self._indexes = {}
         return self
 
     def term_vector(self, term: str, normalized: bool = False, kind: str = "context") -> np.ndarray:
         """Copy of a term's context or order vector, optionally unit length."""
         if kind not in ("context", "order"):
             raise ConfigError(f"kind must be 'context' or 'order', got {kind!r}")
-        entry = self.entries.get(term)
-        if entry is None:
+        k = self.row(term)
+        if k is None:
             raise TermNotFoundError(term)
-        out = np.array(entry.context if kind == "context" else entry.order, copy=True)
+        out = np.array((self.context if kind == "context" else self.order)[k], copy=True)
         if normalized:
             norm = np.linalg.norm(out)
             if norm == 0.0:
@@ -398,6 +436,13 @@ class SemanticSpace:
     def similarity(self, term_a: str, term_b: str) -> float:
         return cosine(self.term_vector(term_a), self.term_vector(term_b))
 
+    def neighbor_index(self, min_count: int = 1) -> "NeighborIndex":
+        """The space's NeighborIndex for ``min_count``, built on first use
+        and kept until the space next changes."""
+        if min_count not in self._indexes:
+            self._indexes[min_count] = NeighborIndex(self, min_count)
+        return self._indexes[min_count]
+
     def nearest_neighbors(self, query: np.ndarray, top_n: int, min_count: int = 1,
                           exclude=()) -> list:
         """Top terms by cosine against a unit-length query vector.
@@ -406,57 +451,53 @@ class SemanticSpace:
         ascending.  Entries below min_count or with zero vectors are
         skipped; terms in ``exclude`` are never returned.
         """
-        return NeighborIndex(self, min_count=min_count).query(query, top_n, exclude)
+        return self.neighbor_index(min_count).query(query, top_n, exclude)
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, in the rows' float width.  ``vecdot``
+    takes one BLAS dot per row, so each norm has the bits of
+    ``np.linalg.norm(row)``, unlike ``norm(axis=1)`` or ``einsum``."""
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
+def top_ranked(scores: np.ndarray, terms: np.ndarray, n: int) -> list:
+    """``[(term, score)]`` of the first ``n`` rows by score descending,
+    ties by term ascending, as a full lexsort orders them.  Only the rows
+    that can reach the first ``n`` are sorted: those scoring at least the
+    n-th best score, every tie with it included."""
+    negated = -scores
+    candidates = np.arange(len(scores))
+    if 0 < n < len(scores):
+        kth = np.partition(negated, n - 1)[n - 1]
+        # NaN compares false, so NaN rows stay candidates and sort last,
+        # as in the full sort.
+        candidates = np.flatnonzero(~(negated > kth))
+    ranked = candidates[np.lexsort((terms[candidates], negated[candidates]))]
+    return [(str(terms[i]), float(scores[i])) for i in ranked[:n]]
 
 
 class NeighborIndex:
-    """Read-only snapshot of a space's normalized context vectors.
+    """Read-only snapshot of a space's normalized context vectors, built
+    once and scanned per query; ``SemanticSpace.neighbor_index`` keeps one
+    per space for repeated queries (drift neighbor lists)."""
 
-    Building the matrix once and scanning it per query keeps repeated
-    queries (drift neighbor lists, per-epoch equivalents) linear instead of
-    rebuilding per call.
-    """
-
-    def __init__(self, space: SemanticSpace, min_count: int = 1, kind: str = "context"):
-        if kind not in ("context", "order"):
-            raise ConfigError(f"kind must be 'context' or 'order', got {kind!r}")
-        terms = []
-        # Filled in place rather than stacked from row copies, so building
-        # the index never holds the matrix twice.
-        matrix = np.empty((len(space.entries), space.config.dim))
-        for term in sorted(space.entries):
-            entry = space.entries[term]
-            if entry.count < min_count:
-                continue
-            vec = entry.context if kind == "context" else entry.order
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                continue
-            np.divide(vec, norm, out=matrix[len(terms)], dtype=np.float64)
-            terms.append(term)
-        self.terms = np.array(terms) if terms else np.empty(0, dtype="U1")
-        self.matrix = matrix[:len(terms)]
-
-    def __len__(self) -> int:
-        return len(self.terms)
+    def __init__(self, space: SemanticSpace, min_count: int = 1):
+        norms = row_norms(space.context)
+        keep = np.flatnonzero((space.counts >= min_count) & (norms != 0.0))
+        # Keeping every row is common, and indexing would copy the matrix.
+        vectors = space.context if len(keep) == len(norms) else space.context[keep]
+        self.terms = space.terms[keep]
+        self.matrix = np.divide(vectors, norms[keep, None], dtype=np.float64)
 
     def query(self, vec: np.ndarray, top_n: int, exclude=()) -> list:
         if top_n < 1:
             raise ConfigError(f"top_n must be >= 1, got {top_n}")
-        if len(self.terms) == 0:
-            return []
         sims = self.matrix @ np.asarray(vec, dtype=np.float64)
-        ranked = np.lexsort((self.terms, -sims))
         exclude = set(exclude)
-        out = []
-        for idx in ranked:
-            term = str(self.terms[idx])
-            if term in exclude:
-                continue
-            out.append((term, float(sims[idx])))
-            if len(out) == top_n:
-                break
-        return out
+        # At most len(exclude) of the first top_n + len(exclude) are dropped.
+        ranked = top_ranked(sims, self.terms, top_n + len(exclude))
+        return [(term, sim) for term, sim in ranked if term not in exclude][:top_n]
 
 
 def ensure_same_config(spaces) -> SpaceConfig:
@@ -479,16 +520,19 @@ def warn_mixed_widths(stacklevel: int = 2) -> None:
     )
 
 
-def combine(spaces) -> SemanticSpace:
+def combine(spaces, terms=None) -> SemanticSpace:
     """Componentwise sum of spaces sharing one config.
 
     ``spaces`` may be any iterable; it is folded in order and each input
     can be released once it has been added, so a generator of loads holds
-    one input at a time.  Counts and token totals add exactly; vectors add
-    in the argument order, so the result is bitwise deterministic for a
-    fixed input order.  Mixing 32- and 64-bit spaces upcasts the result to
-    64-bit with a warning, from the first input whose width differs from
-    the first input's: 32-bit inputs before it are summed in 32-bit.
+    one input at a time.  The result's vocabulary is the union of the
+    inputs'; ``terms``, that union sorted when the caller knows it up
+    front, sizes the result once, and without it the result grows as
+    inputs bring new terms.  Counts and token totals add exactly; vectors
+    add in the argument order, so the result is bitwise deterministic for
+    a fixed input order.  Mixing 32- and 64-bit spaces upcasts the result
+    to 64-bit with a warning, from the first input whose width differs
+    from the first input's: 32-bit inputs before it are summed in 32-bit.
     Widen every input first (``SemanticSpace.widen``) to sum all of them
     in 64-bit.
     """
@@ -501,28 +545,19 @@ def combine(spaces) -> SemanticSpace:
             # a config mismatch names it.
             out = SemanticSpace.empty(space.config, space.epoch_label,
                                       float_dtype=space.float_dtype)
+            if terms is not None:
+                out._grow(terms)
         ensure_same_config([out, space])
         if space.float_dtype != out.float_dtype and not mixed:
             mixed = True
             warn_mixed_widths()
             out.widen()
         labels.append(space.epoch_label)
-        dim = space.config.dim
-        for term, entry in space.entries.items():
-            acc = out.entries.get(term)
-            if acc is None:
-                acc = out.entries[term] = TermEntry(
-                    np.zeros(dim, dtype=out.float_dtype),
-                    np.zeros(dim, dtype=out.float_dtype),
-                )
-            acc.context += entry.context
-            acc.order += entry.order
-            acc.count += entry.count
+        out._add(space.terms, space.counts, space.context, space.order)
         out.ingested_tokens += space.ingested_tokens
     if out is None:
         raise ConfigError("combine needs at least one space")
     out.epoch_label = "+".join(labels)
-    out.entries = {term: out.entries[term] for term in sorted(out.entries)}
     return out
 
 
@@ -535,12 +570,12 @@ def norm_frequency_series(epoch_spaces, term: str) -> list:
     """
     series = []
     for space in epoch_spaces:
-        entry = space.entries.get(term)
-        if entry is None:
+        k = space.row(term)
+        if k is None:
             series.append((space.epoch_label, 0, 0.0))
         else:
-            context = np.asarray(entry.context, dtype=np.float64)
+            context = np.asarray(space.context[k], dtype=np.float64)
             series.append(
-                (space.epoch_label, entry.count, float(np.dot(context, context)))
+                (space.epoch_label, int(space.counts[k]), float(np.dot(context, context)))
             )
     return series

@@ -118,11 +118,6 @@ class PermutationSet:
             ) from None
 
 
-def make_permutations(dim: int, perm_seed: int, span: int = 2) -> PermutationSet:
-    """Build the offset permutations for a space; see PermutationSet."""
-    return PermutationSet(dim, perm_seed, span)
-
-
 def apply_permutation(perm_map: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Relabel vector indices: out[perm_map[i]] = v[i].
 
@@ -152,20 +147,3 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         raise UndefinedSimilarityError("cosine with a zero vector is undefined")
     return float(np.dot(u, v) / (nu * nv))
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit length; zero vectors are an error."""
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise UndefinedSimilarityError("cannot normalize a zero vector")
-    return v / n
-
-
-def add_scaled(acc: np.ndarray, v: np.ndarray, rho: float) -> np.ndarray:
-    """Return acc + rho * v (no mutation)."""
-    acc = np.asarray(acc)
-    v = np.asarray(v)
-    if acc.shape != v.shape:
-        raise ConfigError(f"dimension mismatch: {acc.shape} vs {v.shape}")
-    return acc + rho * v

@@ -28,12 +28,10 @@ def build_space(config, label, sentences, weights=None):
 def assert_spaces_close(a, b, rtol=RTOL, atol=ATOL):
     """Counts must match exactly; vectors up to summation reordering."""
     assert a.config == b.config
-    assert sorted(a.entries) == sorted(b.entries)
-    for term in a.entries:
-        ea, eb = a.entries[term], b.entries[term]
-        assert ea.count == eb.count, term
-        np.testing.assert_allclose(ea.context, eb.context, rtol=rtol, atol=atol, err_msg=term)
-        np.testing.assert_allclose(ea.order, eb.order, rtol=rtol, atol=atol, err_msg=term)
+    assert a.terms.tolist() == b.terms.tolist()
+    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_allclose(a.context, b.context, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(a.order, b.order, rtol=rtol, atol=atol)
 
 
 def random_sentences(rng, vocab, n_sentences, min_len=2, max_len=9):

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from driftspace import SpaceConfig, cli, load_space
@@ -93,9 +94,8 @@ class TestBuild:
             parallel = load_space(out / name)
             sequential = load_space(built / name)
             assert parallel.epoch_label == sequential.epoch_label
-            assert sorted(parallel.entries) == sorted(sequential.entries)
-            for term, entry in sequential.entries.items():
-                assert parallel.entries[term].count == entry.count
+            assert parallel.terms.tolist() == sequential.terms.tolist()
+            assert np.array_equal(parallel.counts, sequential.counts)
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in built.iterdir())
         for path in built.iterdir():
             if path.name == "config.txt":
@@ -478,6 +478,77 @@ class TestTermArguments:
         code = cli.main(argv + ["--out", str(tmp_path / "run")])
         assert code == cli.EXIT_CONFIG
         capsys.readouterr()
+
+
+# Each terms-file flag, as argv around the file it names.
+def _terms_file_argv(flag, built, total, path):
+    spaces = [str(built / "e1.space"), str(built / "e2.space")]
+    if flag == "--exclude-file":
+        return ["drift", "--space0", spaces[0], "--space1", spaces[1],
+                "--min-total-count", "1", "--terms", "gizmo,mango,modem", flag, str(path)]
+    if flag == "--extra-terms":
+        return ["trajectory", "gizmo", "--total", str(total), "--spaces", *spaces,
+                "--r-size", "2", flag, str(path)]
+    lists = {"--qualifiers": "gizmo\nmodem\n", "--man-terms": "papaya\n",
+             "--woman-terms": "router\n"}
+    argv = ["bias", "--spaces", *spaces]
+    for other, text in lists.items():
+        if other != flag:
+            default = path.with_name(other.strip("-") + ".default")
+            default.write_text(text, encoding="utf-8")
+            argv += [other, str(default)]
+    return argv + [flag, str(path)]
+
+
+TERMS_FILE_FLAGS = ["--qualifiers", "--man-terms", "--woman-terms", "--exclude-file",
+                    "--extra-terms"]
+
+
+class TestTermsFiles:
+    @pytest.mark.parametrize("flag", TERMS_FILE_FLAGS)
+    def test_lines_are_normalized_like_term_arguments(self, flag, built, total_space, tmp_path):
+        reports = []
+        for text in ("mango\nmodem\n", "MANGO\n# a comment\n\n  Modem  \n", "'Mango-\n-modem'\nmango\n"):
+            path = tmp_path / f"terms-{len(reports)}.txt"
+            path.write_text(text, encoding="utf-8")
+            out = tmp_path / f"run-{len(reports)}"
+            argv = _terms_file_argv(flag, built, total_space, path)
+            assert cli.main(argv + ["--out", str(out), "--format", "json"]) == cli.EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    @pytest.mark.parametrize("flag", TERMS_FILE_FLAGS)
+    def test_a_line_that_is_not_one_token_is_exit_2(self, flag, built, total_space,
+                                                     tmp_path, capsys):
+        path = tmp_path / "terms.txt"
+        path.write_text("mango\n# fine\nu.s.\n", encoding="utf-8")
+        argv = _terms_file_argv(flag, built, total_space, path)
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+        assert f"{path}:3:" in capsys.readouterr().err
+
+
+class TestReportOutput:
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+    def test_stdout_and_file_hold_one_rendering(self, fmt, built, tmp_path, capsys, monkeypatch):
+        from driftspace import reports
+
+        calls = []
+        render = reports.render
+
+        def counted(report, form):
+            calls.append(form)
+            return render(report, form)
+
+        monkeypatch.setattr(reports, "render", counted)
+        out = tmp_path / "run"
+        code = cli.main(["drift", "--space0", str(built / "e1.space"), "--space1",
+                         str(built / "e2.space"), "--min-total-count", "1",
+                         "--out", str(out), "--format", fmt])
+        assert code == cli.EXIT_OK
+        assert calls == [fmt]
+        ext = {"json": "json", "tsv": "tsv", "pretty": "txt"}[fmt]
+        assert (out / f"report.{ext}").read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
 class TestConfigFile:

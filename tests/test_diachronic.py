@@ -23,7 +23,6 @@ from driftspace import (
     time_trajectory,
 )
 from driftspace.diachronic import DRIFT_CATEGORIES, DRIFT_THRESHOLDS
-from driftspace.space import TermEntry
 from driftspace.vectors import apply_permutation
 
 from helpers import (
@@ -397,9 +396,9 @@ class TestPredictPosition:
 
     def test_zero_order_vector_rejected(self):
         space = build_space(CFG, "e", [["a", "b"]])
-        space.entries["hollow"] = TermEntry(np.zeros(CFG.dim), np.zeros(CFG.dim), 5)
+        space.order[space.row("a")] = 0.0
         with pytest.raises(UndefinedSimilarityError):
-            predict_position(space, "hollow", 1)
+            predict_position(space, "a", 1)
 
     def test_min_count_filters_candidates(self, bigram_space):
         hits = predict_position(bigram_space, "alpha", 1, top_n=50, min_count=20)

@@ -4,9 +4,13 @@ import os
 import random
 import struct
 import threading
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftspace import (
     BadMagicError,
@@ -26,6 +30,7 @@ from driftspace.persistence import FORMAT_VERSION, MAGIC, load_header, write_spa
 from helpers import build_space, random_sentences
 
 CFG = SpaceConfig(dim=32, window=5, order_span=2, global_seed=3, perm_seed=4)
+_FIXED = struct.calcsize("<8sIIIIQQBBBB")
 
 
 @pytest.fixture
@@ -127,19 +132,18 @@ class TestFloatWidth:
         path = save_space(space, tmp_path / "narrow.space", float_width=32)
         loaded = load_space(path)
         assert loaded.float_dtype == np.dtype(np.float32)
-        for term, entry in space.entries.items():
-            narrow = loaded.entries[term]
-            assert narrow.context.dtype == np.float32
-            np.testing.assert_allclose(narrow.context, entry.context, rtol=1e-6)
-            assert narrow.count == entry.count
+        assert loaded.terms.tolist() == space.terms.tolist()
+        assert loaded.context.dtype == np.float32
+        np.testing.assert_allclose(loaded.context, space.context, rtol=1e-6)
+        assert np.array_equal(loaded.counts, space.counts)
 
     def test_ingest_keeps_a_loaded_float32_width(self, space, tmp_path):
         narrow = load_space(save_space(space, tmp_path / "narrow.space", float_width=32))
         assert "fresh" not in narrow and "v00" in narrow
         narrow.ingest_sentence(["fresh", "v00"])
-        for term in ("fresh", "v00"):
-            assert narrow.entries[term].context.dtype == np.float32
-            assert narrow.entries[term].order.dtype == np.float32
+        assert "fresh" in narrow
+        assert narrow.context.dtype == np.float32
+        assert narrow.order.dtype == np.float32
         first = save_space(narrow, tmp_path / "again.space")
         reloaded = load_space(first)
         assert reloaded == narrow
@@ -168,7 +172,7 @@ class TestFloatWidth:
         assert merged.float_dtype == np.dtype(np.float64)
 
     def _mixed_inputs(self, space, tmp_path):
-        other = build_space(CFG, "1988", random_sentences(random.Random(72), sorted(space.entries), 40))
+        other = build_space(CFG, "1988", random_sentences(random.Random(72), space.terms.tolist(), 40))
         paths = [
             save_space(space, tmp_path / "n1.space", float_width=32),
             save_space(other, tmp_path / "n2.space", float_width=32),
@@ -180,13 +184,13 @@ class TestFloatWidth:
         _, (n1, n2, wide) = self._mixed_inputs(space, tmp_path)
         with pytest.warns(UserWarning, match="mixed float widths"):
             merged = combine(iter([n1, n2, wide]))
-        for term, entry in merged.entries.items():
+        for term in merged.terms.tolist():
             narrow_sum = np.zeros(CFG.dim, dtype=np.float32)
             for part in (n1, n2):
                 if term in part:
-                    narrow_sum += part.entries[term].context
-            expected = narrow_sum.astype(np.float64) + wide.entries[term].context
-            assert np.array_equal(entry.context, expected)
+                    narrow_sum += part.term_vector(term)
+            expected = narrow_sum.astype(np.float64) + wide.term_vector(term)
+            assert np.array_equal(merged.term_vector(term), expected)
 
     def test_cli_combine_sums_mixed_widths_in_64_bit(self, space, tmp_path):
         from driftspace import cli
@@ -198,21 +202,22 @@ class TestFloatWidth:
         assert code == cli.EXIT_OK
         merged = load_space(out)
         assert merged.float_dtype == np.dtype(np.float64)
-        for term, entry in merged.entries.items():
+        for term in merged.terms.tolist():
             expected = np.zeros(CFG.dim)
             for part in inputs:
                 if term in part:
-                    expected += part.entries[term].context
-            assert np.array_equal(entry.context, expected)
+                    expected += part.term_vector(term)
+            assert np.array_equal(merged.term_vector(term), expected)
         assert merged == combine([part.widen() for part in inputs])
 
     def test_load_header_matches_load_space(self, space, tmp_path):
         path = save_space(space, tmp_path / "n.space", float_width=32)
-        header = load_header(path)
+        header, terms = load_header(path)
         loaded = load_space(path)
         assert (header.config, header.epoch_label, header.float_dtype, header.ingested_tokens) == (
             loaded.config, loaded.epoch_label, loaded.float_dtype, loaded.ingested_tokens)
         assert len(header) == 0
+        assert terms.tolist() == loaded.terms.tolist() == space.terms.tolist()
 
     def test_bad_width_rejected(self, space, tmp_path):
         with pytest.raises(ConfigError):
@@ -223,6 +228,38 @@ def _flip_byte(data: bytes, index: int) -> bytes:
     out = bytearray(data)
     out[index] ^= 0xFF
     return bytes(out)
+
+
+SECTIONS = ("term lengths", "term bytes", "counts", "context", "order")
+
+
+def _header_size(data: bytes) -> int:
+    (label_len,) = struct.unpack_from("<I", data, _FIXED)
+    return _FIXED + 4 + label_len + 16 + 4
+
+
+def _term_count_offset(data: bytes) -> int:
+    return _header_size(data) - 20
+
+
+def _section_bounds(space, data: bytes) -> dict:
+    """Section name -> (first byte, offset of its CRC-32) in a saved file."""
+    width = 8 if space.float_dtype == np.float64 else 4
+    sizes = [4 * len(space), sum(len(t.encode()) for t in space.terms.tolist()),
+             8 * len(space), width * space.context.size, width * space.order.size]
+    bounds, start = {}, _header_size(data)
+    for name, size in zip(SECTIONS, sizes):
+        bounds[name] = (start, start + size)
+        start += size + 4
+    assert start == len(data)
+    return bounds
+
+
+def _with_header_field(data: bytes, offset: int, value: bytes) -> bytes:
+    """``data`` with header bytes replaced and the header CRC-32 redone."""
+    end = _header_size(data) - 4
+    header = data[:offset] + value + data[offset + len(value):end]
+    return header + struct.pack("<I", zlib.crc32(header)) + data[end + 4:]
 
 
 class TestCorruption:
@@ -279,12 +316,17 @@ class TestCorruption:
         with pytest.raises(ChecksumError):
             load_space(bad)
 
-    def test_record_checksum_names_the_term(self, blob, tmp_path):
+    def test_record_checksum_names_the_term(self, space, blob, tmp_path):
+        # Version 2 has no per-term records: the error names the section.
         data, _ = blob
         bad = tmp_path / "bad.space"
-        bad.write_bytes(_flip_byte(data, len(data) - 20))
-        with pytest.raises(ChecksumError, match="record"):
-            load_space(bad)
+        for section, (start, end) in _section_bounds(space, data).items():
+            bad.write_bytes(_flip_byte(data, (start + end) // 2))
+            with pytest.raises(ChecksumError, match=f"the {section} section"):
+                load_space(bad)
+            bad.write_bytes(_flip_byte(data, end))  # the stored CRC-32 itself
+            with pytest.raises(ChecksumError, match=f"the {section} section"):
+                load_space(bad)
 
     def test_trailing_bytes(self, blob, tmp_path):
         data, _ = blob
@@ -313,7 +355,42 @@ class TestCorruption:
 
     def test_magic_constant_pinned(self):
         assert MAGIC == b"DRIFTSPC"
-        assert FORMAT_VERSION == 1
+        assert FORMAT_VERSION == 2
+
+    def test_version_1_file_is_refused(self, blob, tmp_path, capsys):
+        from driftspace import cli
+
+        data, _ = blob
+        old = tmp_path / "v1.space"
+        old.write_bytes(_with_header_field(data, 8, struct.pack("<I", 1)))
+        with pytest.raises(VersionMismatchError, match="version 1; .*Rebuild"):
+            load_space(old)
+        assert cli.main(["inspect", str(old)]) == cli.EXIT_MISSING
+        assert "Rebuild" in capsys.readouterr().err
+
+    def test_header_with_an_invalid_config_is_a_format_error(self, blob, tmp_path):
+        data, _ = blob
+        bad = tmp_path / "bad.space"
+        bad.write_bytes(_with_header_field(data, 16, struct.pack("<I", 4)))  # window 4
+        with pytest.raises(SpaceFormatError, match="window"):
+            load_space(bad)
+
+    def test_header_claiming_more_terms_than_the_file_holds(self, blob, tmp_path):
+        data, _ = blob
+        huge = _with_header_field(data, _term_count_offset(data), struct.pack("<Q", 10**6))
+        bad = tmp_path / "bad.space"
+        bad.write_bytes(huge)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="term lengths") as err:
+                load_space(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 10**6 terms of dim 32 would need 512 MB of vectors; nothing near
+        # even the 4 MB of term lengths is allocated.
+        assert peak < 1 << 20
+        assert err.value.offset == len(huge)
 
 
 class TestTsvExport:
@@ -328,3 +405,62 @@ class TestTsvExport:
         assert row["term"] == "a"
         assert row["count"] == "2"
         assert float(row["sq"]) == pytest.approx(4.0, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def images(tmp_path_factory):
+    """Two saved spaces of different vocabularies and widths, the file the
+    fuzz cases write to, and each section's bounds in the first image."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = random.Random(74)
+    wide = build_space(CFG, "1987", random_sentences(rng, ["a", "bé", "c", "dd"], 12))
+    narrow = build_space(CFG, "1988-extra", random_sentences(rng, ["a", "x", "yy"], 9))
+    first = save_space(wide, root / "wide.space").read_bytes()
+    second = save_space(narrow, root / "narrow.space", float_width=32).read_bytes()
+    return first, second, root / "fuzzed.space", _section_bounds(wide, first)
+
+
+def _load_or_format_error(path, data):
+    """Load ``data``; any exception but a SpaceFormatError fails the test."""
+    path.write_bytes(data)
+    try:
+        return load_space(path)
+    except SpaceFormatError as exc:
+        return exc
+
+
+class TestFuzz:
+    def test_truncation_at_every_section_boundary(self, images):
+        first, _, path, bounds = images
+        cuts = {0, _FIXED, _header_size(first) - 4, _header_size(first)}
+        for start, crc in bounds.values():
+            cuts |= {start, start + 1, crc - 1, crc, crc + 1, crc + 3}
+        for cut in sorted(c for c in cuts if c < len(first)):
+            result = _load_or_format_error(path, first[:cut])
+            assert isinstance(result, TruncatedFileError), cut
+            assert result.offset == cut and result.expected > cut
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation(self, images, data):
+        first, _, path, _ = images
+        cut = data.draw(st.integers(0, len(first) - 1))
+        assert isinstance(_load_or_format_error(path, first[:cut]), TruncatedFileError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_flips(self, images, data):
+        first, _, path, _ = images
+        damaged = bytearray(first)
+        for bit in data.draw(st.sets(st.integers(0, 8 * len(first) - 1), min_size=1, max_size=3)):
+            damaged[bit // 8] ^= 1 << (bit % 8)
+        assert isinstance(_load_or_format_error(path, bytes(damaged)), SpaceFormatError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_spliced_headers(self, images, data):
+        first, second, path, _ = images
+        head, tail = data.draw(st.sampled_from([(first, second), (second, first)]))
+        cut = data.draw(st.integers(0, _header_size(head) + 8))
+        resume = data.draw(st.integers(0, len(tail)))
+        _load_or_format_error(path, head[:cut] + tail[resume:])

@@ -191,6 +191,6 @@ class TestTableRendering:
 class TestWriteReport:
     def test_extension_per_format(self, tmp_path, trajectory):
         for fmt, ext in (("tsv", "tsv"), ("json", "json"), ("pretty", "txt")):
-            path = write_report(trajectory, tmp_path / fmt, fmt)
+            path = write_report(render(trajectory, fmt), tmp_path / fmt, fmt)
             assert path == tmp_path / fmt / f"report.{ext}"
             assert path.read_text(encoding="utf-8") == render(trajectory, fmt)

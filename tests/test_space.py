@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftspace import (
     CombineMismatchError,
@@ -20,8 +22,8 @@ from driftspace import (
     norm_frequency_series,
 )
 from driftspace import space as space_module
-from driftspace.space import inverse_log_weights
-from driftspace.vectors import apply_permutation, make_permutations, seed_vector
+from driftspace.space import inverse_log_weights, top_ranked
+from driftspace.vectors import PermutationSet, apply_permutation, seed_vector
 
 from helpers import assert_spaces_close, build_space, random_sentences
 
@@ -33,7 +35,7 @@ def reference_ingest(config, sentences, weights=None):
 
     Used as an oracle against the vectorized prefix-sum path.
     """
-    perms = make_permutations(config.dim, config.perm_seed, config.order_span)
+    perms = PermutationSet(config.dim, config.perm_seed, config.order_span)
     half = config.half_window
 
     def seed(tok):
@@ -75,12 +77,12 @@ def assert_matches_reference(config, sentences, weights=None):
     space = build_space(config, "ref", sentences, weights=weights)
     expected, total = reference_ingest(config, sentences, weights)
     assert space.ingested_tokens == total
-    assert sorted(space.entries) == sorted(expected)
+    assert space.terms.tolist() == sorted(expected)
     for term, (ctx, orv, count) in expected.items():
-        entry = space.entries[term]
-        assert entry.count == count
-        np.testing.assert_allclose(entry.context, ctx, rtol=1e-9, atol=1e-12, err_msg=term)
-        np.testing.assert_allclose(entry.order, orv, rtol=1e-9, atol=1e-12, err_msg=term)
+        k = space.row(term)
+        assert space.counts[k] == count
+        np.testing.assert_allclose(space.context[k], ctx, rtol=1e-9, atol=1e-12, err_msg=term)
+        np.testing.assert_allclose(space.order[k], orv, rtol=1e-9, atol=1e-12, err_msg=term)
 
 
 class TestSpaceConfig:
@@ -115,10 +117,9 @@ class TestSpaceConfig:
 class TestIngestion:
     def test_singleton_sentence(self):
         space = build_space(SMALL, "e", [["solo"]])
-        entry = space.entries["solo"]
-        assert entry.count == 1
-        assert not entry.context.any()
-        assert np.array_equal(entry.order, space.seed("solo"))
+        assert space.count("solo") == 1
+        assert not space.term_vector("solo").any()
+        assert np.array_equal(space.term_vector("solo", kind="order"), space.seed("solo"))
         assert space.ingested_tokens == 1
 
     def test_adjacent_pair(self):
@@ -126,15 +127,15 @@ class TestIngestion:
         space = build_space(config, "e", [["left", "right"]])
         s_left, s_right = space.seed("left"), space.seed("right")
         perms = space.perms
-        np.testing.assert_allclose(space.entries["left"].context, s_right, atol=1e-12)
-        np.testing.assert_allclose(space.entries["right"].context, s_left, atol=1e-12)
+        np.testing.assert_allclose(space.term_vector("left"), s_right, atol=1e-12)
+        np.testing.assert_allclose(space.term_vector("right"), s_left, atol=1e-12)
         np.testing.assert_allclose(
-            space.entries["left"].order,
+            space.term_vector("left", kind="order"),
             s_left + apply_permutation(perms.offset_map(1), s_right),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            space.entries["right"].order,
+            space.term_vector("right", kind="order"),
             s_right + apply_permutation(perms.offset_map(-1), s_left),
             atol=1e-12,
         )
@@ -172,19 +173,20 @@ class TestIngestion:
         # Still within the window of 5, so contexts agree; orders differ
         # because the offset changed from 1 to 2.
         np.testing.assert_allclose(
-            space.entries["a"].context, hole_free.entries["a"].context, atol=1e-12
+            space.term_vector("a"), hole_free.term_vector("a"), atol=1e-12
         )
-        assert not np.allclose(space.entries["a"].order, hole_free.entries["a"].order)
+        assert not np.allclose(space.term_vector("a", kind="order"),
+                               hole_free.term_vector("a", kind="order"))
 
     def test_window_truncates_at_boundaries(self):
         config = SpaceConfig(dim=64, window=3, order_span=1, global_seed=3, perm_seed=4)
         space = build_space(config, "e", [["a", "b", "c", "d"]])
         np.testing.assert_allclose(
-            space.entries["b"].context,
+            space.term_vector("b"),
             space.seed("a") + space.seed("c"),
             atol=1e-12,
         )
-        np.testing.assert_allclose(space.entries["a"].context, space.seed("b"), atol=1e-12)
+        np.testing.assert_allclose(space.term_vector("a"), space.seed("b"), atol=1e-12)
 
     def test_empty_token_is_a_bug(self):
         space = SemanticSpace(SMALL, "e")
@@ -229,7 +231,7 @@ class TestIngestion:
         sentences = random_sentences(rng, ["a", "b", "c"], 25, min_len=1, max_len=6)
         space = build_space(SMALL, "e", sentences)
         assert space.ingested_tokens == sum(len(s) for s in sentences)
-        assert sum(e.count for e in space.entries.values()) == space.ingested_tokens
+        assert space.counts.sum() == space.ingested_tokens
 
     def test_sentence_order_invariance(self):
         rng = random.Random(105)
@@ -257,14 +259,10 @@ class TestIngestion:
         twos = {tok: 2.0 for tok in vocab}
         base = build_space(SMALL, "e", sentences, weights=ones)
         doubled = build_space(SMALL, "e", sentences, weights=twos)
-        for term in vocab:
-            assert np.array_equal(
-                doubled.entries[term].context, 2.0 * base.entries[term].context
-            )
-            assert np.array_equal(
-                doubled.entries[term].order, 2.0 * base.entries[term].order
-            )
-            assert doubled.entries[term].count == base.entries[term].count
+        assert doubled.terms.tolist() == base.terms.tolist() == sorted(vocab)
+        assert np.array_equal(doubled.context, 2.0 * base.context)
+        assert np.array_equal(doubled.order, 2.0 * base.order)
+        assert np.array_equal(doubled.counts, base.counts)
 
     def test_uniform_weights_equal_no_weights(self):
         rng = random.Random(107)
@@ -288,7 +286,7 @@ class TestTermVector:
         space = self._space()
         vec = space.term_vector("a")
         vec[:] = 0.0
-        assert space.entries["a"].context.any()
+        assert space.context[space.row("a")].any()
 
     def test_normalized(self):
         space = self._space()
@@ -297,7 +295,7 @@ class TestTermVector:
 
     def test_order_kind(self):
         space = self._space()
-        assert np.array_equal(space.term_vector("a", kind="order"), space.entries["a"].order)
+        assert np.array_equal(space.term_vector("a", kind="order"), space.order[space.row("a")])
 
     def test_unknown_term(self):
         with pytest.raises(TermNotFoundError):
@@ -373,12 +371,109 @@ class TestNeighbors:
         with pytest.raises(ConfigError):
             NeighborIndex(space).query(space.seed("a"), 0)
 
-    def test_order_kind_index(self):
-        space = build_space(SMALL, "e", [["solo"], ["a", "b"]])
-        index = NeighborIndex(space, kind="order")
-        assert "solo" in set(index.terms)
-        with pytest.raises(ConfigError):
-            NeighborIndex(space, kind="sideways")
+
+
+def _full_sort_query(index, vec, top_n, exclude):
+    """NeighborIndex.query by a full lexsort of every row: the reference."""
+    sims = index.matrix @ np.asarray(vec, dtype=np.float64)
+    out = []
+    for i in np.lexsort((index.terms, -sims)):
+        if str(index.terms[i]) not in exclude:
+            out.append((str(index.terms[i]), float(sims[i])))
+    return out[:top_n]
+
+
+class TestNeighborIndex:
+    @pytest.mark.parametrize("width", [np.float64, np.float32])
+    def test_matrix_has_the_bits_of_per_row_normalization(self, width):
+        rng = random.Random(111)
+        vocab = [f"v{i:02d}" for i in range(60)]
+        config = SpaceConfig(dim=300, window=7, order_span=2, global_seed=3, perm_seed=4)
+        space = build_space(config, "e", random_sentences(rng, vocab, 400) + [["solo"]])
+        space.set_rows(space.terms, space.counts, space.context.astype(width),
+                       space.order.astype(width))
+        for min_count in (1, 8):
+            index = NeighborIndex(space, min_count=min_count)
+            terms, rows = [], []
+            for term, count, vec in zip(space.terms.tolist(), space.counts, space.context):
+                norm = np.linalg.norm(vec)
+                if count >= min_count and norm != 0.0:
+                    terms.append(term)
+                    rows.append(np.divide(vec, norm, dtype=np.float64))
+            assert index.terms.tolist() == terms
+            assert index.matrix.tobytes() == np.vstack(rows).tobytes()
+
+    def test_index_is_cached_until_the_space_changes(self):
+        space = build_space(SMALL, "e", [["a", "b", "c"], ["b", "d"]])
+        index = space.neighbor_index()
+        assert space.neighbor_index() is index
+        assert space.neighbor_index(min_count=2) is not index
+        space.ingest_sentence(["d", "a"])  # known terms: the rows change in place
+        fresh = space.neighbor_index()
+        assert fresh is not index
+        assert not np.array_equal(fresh.matrix, index.matrix)
+        space.ingest_sentence(["e", "a"])
+        assert "e" in set(space.neighbor_index().terms)
+        fresh = space.neighbor_index()
+        space.widen()
+        assert space.neighbor_index() is not fresh
+        fresh = space.neighbor_index()
+        space.entries["a"].context[0] += 1.0
+        assert space.neighbor_index() is not fresh
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=25),
+        vec=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+        top_n=st.integers(1, 30),
+        excluded=st.sets(st.integers(0, 30), max_size=6),
+    )
+    def test_query_equals_a_full_sort(self, rows, vec, top_n, excluded):
+        # Integer rows and query make every similarity exact, so duplicate
+        # rows plant exact ties, broken by term.
+        index = NeighborIndex.__new__(NeighborIndex)
+        index.terms = np.array([f"t{i:02d}" for i in range(len(rows))][::-1])
+        index.matrix = np.array(rows, dtype=np.float64)
+        exclude = {f"t{i:02d}" for i in excluded}
+        assert index.query(vec, top_n, exclude) == _full_sort_query(index, vec, top_n, exclude)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan]), max_size=30),
+        n=st.integers(-3, 35),
+    )
+    def test_top_ranked_equals_a_full_sort(self, scores, n):
+        scores = np.array(scores, dtype=np.float64)
+        terms = np.array([f"t{i:02d}" for i in range(len(scores))], dtype=str)[::-1]
+        full = [(str(terms[i]), float(scores[i])) for i in np.lexsort((terms, -scores))[:n]]
+        ranked = top_ranked(scores, terms, n)
+        assert [t for t, _ in ranked] == [t for t, _ in full]
+        np.testing.assert_array_equal([s for _, s in ranked], [s for _, s in full])
+
+
+class TestArrays:
+    def test_entries_are_views_of_the_rows(self):
+        space = build_space(SMALL, "e", [["a", "b"], ["b", "c"]])
+        entries = space.entries
+        assert list(entries) == space.terms.tolist()
+        assert entries["b"].count == space.count("b") == 2
+        entries["b"].context[0] += 1.0
+        entries["b"].order[1] = 7.0
+        k = space.row("b")
+        assert space.context[k, 0] == entries["b"].context[0]
+        assert space.order[k, 1] == 7.0
+
+    def test_ingest_ids_needs_sorted_terms(self):
+        space = SemanticSpace(SMALL, "e")
+        seeds = np.vstack([space.seed("b"), space.seed("a")])
+        with pytest.raises(ValueError, match="sorted"):
+            space.ingest_ids(["b", "a"], np.array([0, 1]), np.array([0, 0]), seeds)
+
+    def test_ingest_into_a_loaded_vocabulary_grows_it_in_order(self):
+        space = build_space(SMALL, "e", [["m", "c"]])
+        space.ingest_sentences([["a", "m"], ["z", "c"]])
+        assert space.terms.tolist() == ["a", "c", "m", "z"]
+        assert_spaces_close(space, build_space(SMALL, "e", [["m", "c"], ["a", "m"], ["z", "c"]]))
 
 
 class TestCombine:
@@ -397,8 +492,8 @@ class TestCombine:
         merged = combine(shards)
         assert merged.epoch_label == "s0+s1+s2"
         assert merged.ingested_tokens == mono.ingested_tokens
-        for term, entry in mono.entries.items():
-            assert merged.entries[term].count == entry.count
+        assert merged.terms.tolist() == mono.terms.tolist()
+        assert np.array_equal(merged.counts, mono.counts)
         merged.epoch_label = mono.epoch_label
         assert_spaces_close(merged, mono)
 
@@ -416,8 +511,8 @@ class TestCombine:
         a = build_space(SMALL, "a", [["x1", "x2"]])
         b = build_space(SMALL, "b", [["y1", "y2"]])
         merged = combine([a, b])
-        assert sorted(merged.entries) == ["x1", "x2", "y1", "y2"]
-        assert np.array_equal(merged.entries["x1"].context, a.entries["x1"].context)
+        assert merged.terms.tolist() == ["x1", "x2", "y1", "y2"]
+        assert np.array_equal(merged.term_vector("x1"), a.term_vector("x1"))
 
     def test_config_mismatch_rejected(self):
         a = build_space(SMALL, "a", [["x", "y"]])
@@ -431,6 +526,29 @@ class TestCombine:
             combine([])
         with pytest.raises(ConfigError):
             combine(iter([]))
+
+    def test_a_known_union_is_allocated_once(self, monkeypatch):
+        rng = random.Random(112)
+        shards = [
+            build_space(SMALL, f"s{k}", random_sentences(rng, [f"v{k}{i}" for i in range(6)], 10))
+            for k in range(3)
+        ]
+        union = np.unique(np.concatenate([shard.terms for shard in shards]))
+        grown = []
+        original = SemanticSpace._grow
+
+        def spy(space, terms):
+            before = space.context
+            rows = original(space, terms)
+            grown.append(space.context is not before)
+            return rows
+
+        monkeypatch.setattr(SemanticSpace, "_grow", spy)
+        sized = combine(shards, union)
+        assert grown.count(True) == 1
+        grown.clear()
+        assert combine(shards) == sized
+        assert grown.count(True) == len(shards)
 
     def test_generator_is_folded_one_input_at_a_time(self):
         _, shards = self._shards(n_shards=4)
@@ -477,4 +595,3 @@ class TestPickling:
         space = build_space(SMALL, "e", [["a", "b", "c"], ["b", "d"]])
         clone = pickle.loads(pickle.dumps(space))
         assert clone == space
-        assert clone._seed_cache == {}

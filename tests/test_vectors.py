@@ -11,11 +11,8 @@ from driftspace import ConfigError, UndefinedSimilarityError
 from driftspace.vectors import (
     HASH_ALGORITHM_ID,
     PermutationSet,
-    add_scaled,
     apply_permutation,
     cosine,
-    make_permutations,
-    normalize,
     seed_vector,
     token_hash,
 )
@@ -103,19 +100,19 @@ class TestSeedVector:
 class TestPermutations:
     def test_base_is_a_derangement(self):
         for dim in (8, 33, 300):
-            base = make_permutations(dim, 5, span=2).base
+            base = PermutationSet(dim, 5, span=2).base
             assert sorted(base) == list(range(dim))
             assert not np.any(base == np.arange(dim))
 
     def test_frozen_base_pin(self):
-        assert make_permutations(8, 5, span=2).base.tolist() == [1, 5, 6, 2, 7, 0, 4, 3]
+        assert PermutationSet(8, 5, span=2).base.tolist() == [1, 5, 6, 2, 7, 0, 4, 3]
 
     def test_offset_zero_is_identity(self):
-        perms = make_permutations(64, 5, span=2)
+        perms = PermutationSet(64, 5, span=2)
         assert np.array_equal(perms.offset_map(0), np.arange(64))
 
     def test_group_laws_exact(self):
-        perms = make_permutations(300, 7, span=2)
+        perms = PermutationSet(300, 7, span=2)
         base, inv = perms.base, perms.inverse
         assert np.array_equal(inv[base], np.arange(300))
         assert np.array_equal(perms.offset_map(2), base[perms.offset_map(1)])
@@ -126,21 +123,21 @@ class TestPermutations:
         assert np.array_equal(round_trip, v)
 
     def test_offset_outside_span_rejected(self):
-        perms = make_permutations(16, 5, span=2)
+        perms = PermutationSet(16, 5, span=2)
         for bad in (3, -3):
             with pytest.raises(ConfigError):
                 perms.offset_map(bad)
 
     def test_wider_span_extends_the_same_base(self):
-        narrow = make_permutations(64, 5, span=1)
-        wide = make_permutations(64, 5, span=3)
+        narrow = PermutationSet(64, 5, span=1)
+        wide = PermutationSet(64, 5, span=3)
         assert np.array_equal(narrow.base, wide.base)
         assert np.array_equal(wide.offset_map(3), wide.base[wide.base[wide.base]])
 
     def test_seed_sensitivity(self):
         assert not np.array_equal(
-            make_permutations(300, 5, span=2).base,
-            make_permutations(300, 6, span=2).base,
+            PermutationSet(300, 5, span=2).base,
+            PermutationSet(300, 6, span=2).base,
         )
 
     def test_permutation_set_validates(self):
@@ -154,7 +151,7 @@ class TestApplyPermutation:
     def test_components_preserved_bitwise(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=300)
-        out = apply_permutation(make_permutations(300, 5).base, v)
+        out = apply_permutation(PermutationSet(300, 5).base, v)
         assert np.array_equal(np.sort(out), np.sort(v))
         assert out is not v
 
@@ -166,7 +163,7 @@ class TestApplyPermutation:
     def test_batched_rows(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(5, 64))
-        perm = make_permutations(64, 5).base
+        perm = PermutationSet(64, 5).base
         out = apply_permutation(perm, rows)
         for i in range(5):
             assert np.array_equal(out[i], apply_permutation(perm, rows[i]))
@@ -176,7 +173,7 @@ class TestApplyPermutation:
             apply_permutation(np.array([1, 0]), np.zeros(3))
 
     def test_permuted_seed_decorrelates(self):
-        perms = make_permutations(300, 5)
+        perms = PermutationSet(300, 5)
         worst = max(
             abs(cosine(v, apply_permutation(perms.base, v)))
             for v in (seed_vector(f"t{i}", 300, 1) for i in range(200))
@@ -216,21 +213,3 @@ class TestCosine:
         s = cosine(u, w)
         assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
         assert s == pytest.approx(cosine(w, u), abs=1e-12)
-
-
-class TestHelpers:
-    def test_normalize(self):
-        v = np.array([3.0, 4.0])
-        assert np.allclose(normalize(v), [0.6, 0.8])
-        with pytest.raises(UndefinedSimilarityError):
-            normalize(np.zeros(3))
-
-    def test_add_scaled_is_pure(self):
-        acc = np.zeros(4)
-        out = add_scaled(acc, np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
-        assert out.tolist() == [0.5, 1.0, 1.5, 2.0]
-        assert acc.tolist() == [0.0, 0.0, 0.0, 0.0]
-
-    def test_add_scaled_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            add_scaled(np.zeros(3), np.zeros(4), 1.0)
