@@ -21,6 +21,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -136,7 +137,7 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
     path = Path(path)
     if not path.is_file():
         raise MissingDataError(f"config file not found: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -184,7 +185,7 @@ def _read_terms_file(path) -> list:
     if not path.is_file():
         raise MissingDataError(f"terms file not found: {path}")
     terms = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             terms.append(_normalize_term(stripped, where=f"{path}:{lineno}: "))
@@ -623,6 +624,10 @@ def main(argv=None) -> int:
         return EXIT_MISSING
     except DriftspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenProcessPool:
+        print("error: a worker process died (killed, or out of memory); spaces not "
+              "reported as written were not built", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # anything else is a bug, not bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -194,18 +194,17 @@ def list_epoch_files(corpus_root, epoch: str) -> list[Path]:
     return sorted(p for p in epoch_dir.iterdir() if p.is_file())
 
 
-def _read_text(path) -> str:
-    """A corpus file's text; a file that is not UTF-8 is missing data."""
+def read_utf8(path) -> str:
+    """The text of an input file (corpus, terms or config file); a file
+    that is not UTF-8 is unreadable data, named with the offending byte."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise MissingDataError(
-            f"corpus file is not valid UTF-8: {path} (byte {exc.start})"
-        ) from None
+        raise MissingDataError(f"not valid UTF-8: {path} (byte {exc.start})") from None
 
 
 def _file_sentences(path, docs_per_line: bool) -> Iterator[list[list[str]]]:
-    text = _read_text(path)
+    text = read_utf8(path)
     if docs_per_line:
         for line in text.splitlines():
             if line.strip():

@@ -25,6 +25,7 @@ from .errors import (
     TermNotFoundError,
     UndefinedSimilarityError,
 )
+from . import vectors
 from .vectors import PermutationSet, cosine, seed_vector
 
 WEIGHTINGS = ("uniform", "inverse_log_frequency")
@@ -92,22 +93,16 @@ def inverse_log_weights(counts) -> dict:
     }
 
 
-def _weighted(seeds: np.ndarray, terms, weights) -> np.ndarray:
-    if weights is None:
-        return seeds
-    missing = [term for term in terms if term not in weights]
-    if missing:
-        raise ConfigError(f"no accumulation weight for term {missing[0]!r}")
-    return seeds * np.array([weights[term] for term in terms])[:, None]
-
-
 def seed_matrix(terms, config: SpaceConfig, weights=None) -> np.ndarray:
     """Row k is the seed vector of ``terms[k]``, scaled by its weight when
     a ``weights`` map is given: the matrix W·S a build multiplies counts by."""
-    seeds = np.empty((len(terms), config.dim))
-    for k, term in enumerate(terms):
-        seeds[k] = seed_vector(term, config.dim, config.global_seed)
-    return _weighted(seeds, terms, weights)
+    seeds = vectors.seed_matrix(terms, config.dim, config.global_seed)
+    if weights is not None:
+        missing = [term for term in terms if term not in weights]
+        if missing:
+            raise ConfigError(f"no accumulation weight for term {missing[0]!r}")
+        seeds *= np.array([weights[term] for term in terms])[:, None]
+    return seeds
 
 
 # Center rows of the pair matrix handled per sparse product; bounds the
@@ -238,9 +233,8 @@ class SemanticSpace:
         self.ingested_tokens = 0
         self._term_weights = term_weights
         self._perms = None
-        vectors = np.zeros((0, config.dim), dtype=float_dtype)
-        self.set_rows(np.array([], dtype=str), np.zeros(0, dtype=np.int64), vectors,
-                      vectors.copy())
+        rows = np.zeros((0, config.dim), dtype=float_dtype)
+        self.set_rows(np.array([], dtype=str), np.zeros(0, dtype=np.int64), rows, rows.copy())
 
     @classmethod
     def empty(cls, config: SpaceConfig, epoch_label: str, float_dtype=np.float64):

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftspace
 from driftspace import SpaceConfig, cli, load_space
 from driftspace.corpus import build_filter, count_vocabulary, filtered_stream, read_documents
 from driftspace.space import inverse_log_weights
@@ -229,6 +234,47 @@ def test_undecodable_corpus_file_is_exit_3(tmp_path, capsys, workers):
     assert str(bad) in capsys.readouterr().err
     left = [p.name for p in out.iterdir()] if out.exists() else []
     assert not [name for name in left if name.endswith((".space", ".tmp"))]
+
+
+# Runs a build whose pool worker handed epoch e2 dies at once, as a worker
+# killed by the out-of-memory killer would.  Workers inherit the patched
+# ``_build_epoch`` by fork, or import this file by path under spawn.
+_KILLED_WORKER_BUILD = """
+import os, sys
+from driftspace import cli
+
+build_epoch = cli._build_epoch
+
+def dying_build_epoch(task):
+    if task[1] == "e2":
+        os._exit(1)
+    return build_epoch(task)
+
+if __name__ == "__main__":
+    cli._build_epoch = dying_build_epoch
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_killed_worker_fails_the_build_without_partial_spaces(tmp_path):
+    root = tmp_path / "corpus"
+    for label in ("e1", "e2", "e3"):
+        write_epoch_dir(root, label, [["alpha", "beta", "gamma"]] * 5, n_files=2)
+    script = tmp_path / "killed_worker_build.py"
+    script.write_text(_KILLED_WORKER_BUILD, encoding="utf-8")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(driftspace.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "build", "--corpus", str(root), "--out", str(out),
+         "--workers", "2"] + BUILD_FLAGS,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_INTERNAL
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "worker process" in proc.stderr
+    assert not (out / "e2.space").exists()
+    for path in out.glob("*.space"):
+        assert load_space(path).epoch_label == path.stem
 
 
 class TestCombine:
@@ -527,6 +573,17 @@ class TestTermsFiles:
         assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
         assert f"{path}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", TERMS_FILE_FLAGS)
+    def test_a_file_that_is_not_utf8_is_exit_3(self, flag, built, total_space, tmp_path,
+                                               capsys):
+        path = tmp_path / "terms.txt"
+        path.write_bytes(b"mango\ncaf\xe9\n")
+        argv = _terms_file_argv(flag, built, total_space, path)
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_MISSING
+        err = capsys.readouterr().err
+        assert f"not valid UTF-8: {path} (byte 9)" in err
+        assert "internal error" not in err
+
 
 class TestReportOutput:
     @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
@@ -582,6 +639,18 @@ class TestConfigFile:
              "--out", str(tmp_path / "run"), "--config", str(conf)]
         )
         assert code == cli.EXIT_CONFIG
+
+    def test_config_file_that_is_not_utf8_is_exit_3(self, built, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"top_n = 1\n# caf\xe9\n")
+        code = cli.main(
+            ["neighbors", "gizmo", "--space", str(built / "e1.space"),
+             "--out", str(tmp_path / "run"), "--config", str(conf)]
+        )
+        assert code == cli.EXIT_MISSING
+        err = capsys.readouterr().err
+        assert f"not valid UTF-8: {conf} (byte 15)" in err
+        assert "internal error" not in err
 
     def test_missing_config_file_is_exit_3(self, built, tmp_path):
         code = cli.main(

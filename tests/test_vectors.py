@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftspace import ConfigError, UndefinedSimilarityError
+from driftspace import ConfigError, UndefinedSimilarityError, cli
 from driftspace.vectors import (
     HASH_ALGORITHM_ID,
     PermutationSet,
     apply_permutation,
     cosine,
+    pcg64_words,
+    seed_matrix,
     seed_vector,
     token_hash,
+    token_hashes,
 )
+
+from helpers import successor_corpus, write_epoch_dir
 
 tokens = st.text(min_size=1, max_size=12)
 
@@ -97,6 +102,98 @@ class TestSeedVector:
         assert HASH_ALGORITHM_ID == 1
 
 
+def oracle_words(h: int, count: int, start: int = 0) -> np.ndarray:
+    """The raw stream as numpy's own bit generator produces it."""
+    return np.random.PCG64(np.random.SeedSequence(h)).random_raw(start + count)[start:]
+
+
+def oracle_seed(token: str, dim: int, global_seed: int) -> np.ndarray:
+    words = oracle_words(token_hash(token, global_seed), (dim + 63) // 64)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")[:dim]
+    return np.where(bits == 1, 1.0, -1.0) / math.sqrt(dim)
+
+
+# Seeds that sit on SeedSequence's word boundaries: below 2**32 it reads
+# one 32-bit entropy word, from 2**32 on two.
+EDGE_HASHES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+# Either side of 64 UTF-8 bytes, non-ASCII included.
+long_or_short_tokens = st.text(min_size=1, max_size=12) | st.text(min_size=40, max_size=90)
+
+
+class TestSeedKernel:
+    @given(terms=st.lists(long_or_short_tokens, min_size=1, max_size=40),
+           dim=st.integers(min_value=2, max_value=200),
+           seed=st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_numpy_generator(self, terms, dim, seed):
+        # Up to 40 terms, so both the integer and the array lanes run.
+        matrix = seed_matrix(terms, dim, seed)
+        assert matrix.shape == (len(terms), dim)
+        for row, term in zip(matrix, terms):
+            assert np.array_equal(row, oracle_seed(term, dim, seed))
+
+    def test_long_and_non_ascii_tokens_against_numpy(self):
+        terms = ["übermut", "日本語", "a" * 65, "ß" * 40, "x"] * 4
+        assert max(len(t.encode("utf-8")) for t in terms) > 64
+        for dim in (63, 64, 65, 301):
+            for seed in (0, 2**64 - 1):
+                for row, term in zip(seed_matrix(terms, dim, seed), terms):
+                    assert np.array_equal(row, oracle_seed(term, dim, seed))
+
+    def test_raw_words_at_entropy_boundaries(self):
+        # All at once on array lanes, then one at a time on integer lanes.
+        words = pcg64_words(np.array(EDGE_HASHES * 4, dtype=np.uint64), 7, start=3)
+        for h, row in zip(EDGE_HASHES * 4, words):
+            assert np.array_equal(row, oracle_words(h, 7, start=3)), hex(h)
+        for h in EDGE_HASHES:
+            assert np.array_equal(pcg64_words([h], 2)[0], oracle_words(h, 2)), hex(h)
+
+    def test_golden_words_of_amazon(self):
+        words = pcg64_words([token_hash("amazon", 1)], 5)[0]
+        assert [hex(w) for w in words.tolist()] == [
+            "0x591a755d22796304", "0xd160ea0448120588", "0x36624f8d9c1bc476",
+            "0xb87667c39dd67f38", "0x6b41724a9fd46373",
+        ]
+
+    def test_empty_and_duplicate_terms(self):
+        assert seed_matrix([], 300, 1).shape == (0, 300)
+        rows = seed_matrix(["amazon", "amazon"] * 10, 300, 1)
+        assert np.array_equal(rows[0], rows[-1])
+        assert np.array_equal(rows[0], seed_vector("amazon", 300, 1))
+
+    def test_batched_hashes_equal_one_at_a_time(self):
+        terms = [f"tok{i}" for i in range(40)] + ["ünï"]
+        expected = [token_hash(t, 2**64 - 1) for t in terms]
+        assert token_hashes(terms, 2**64 - 1).tolist() == expected
+        with pytest.raises(ValueError):
+            token_hashes(terms + [""], 1)
+
+    def test_build_and_predict_use_no_numpy_generator(self, tmp_path, monkeypatch):
+        root = tmp_path / "corpus"
+        sentences = successor_corpus(n_pairs=5, filler_pool=60)[0]
+        for k in range(2):
+            write_epoch_dir(root, f"e{k}", sentences[k::2], n_files=2)
+
+        def run(tag):
+            out = tmp_path / tag
+            assert cli.main(["build", "--corpus", str(root), "--out", str(out / "spaces"),
+                             "--min-count", "1", "--top-k", "0"]) == cli.EXIT_OK
+            assert cli.main(["predict", "lead00", "1", "--space", str(out / "spaces" / "e0.space"),
+                             "--out", str(out / "run"), "--format", "tsv"]) == cli.EXIT_OK
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                    if p.is_file() and p.name != "config.txt"}
+
+        expected = run("free")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's generator was used")
+
+        monkeypatch.setattr(np.random, "PCG64", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert run("patched") == expected
+
+
 class TestPermutations:
     def test_base_is_a_derangement(self):
         for dim in (8, 33, 300):
@@ -145,6 +242,9 @@ class TestPermutations:
             PermutationSet(1, 5, span=2)
         with pytest.raises(ConfigError):
             PermutationSet(16, 5, span=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError):
+                PermutationSet(16, seed, span=2)
 
 
 class TestApplyPermutation:
