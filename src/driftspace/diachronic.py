@@ -90,9 +90,11 @@ def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int =
     ``top_n``.  Comparing slice vectors against a combined-space vector is
     sound because the spaces add linearly.
     """
+    if top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
     spaces = _labeled_spaces(epoch_spaces)
     ensure_same_config([total, *spaces.values()])
-    anchor = total.term_vector(term, normalized=True)
+    anchor = total.term_vector(term, normalized=True).astype(np.float64, copy=False)
     ranked = total.nearest_neighbors(anchor, r_size, min_count=min_count, exclude={term})
     representatives = [t for t, _ in ranked]
     seen = set(representatives)
@@ -105,15 +107,10 @@ def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int =
     per_epoch_count = {}
     for label in sorted(spaces):
         space = spaces[label]
-        candidates = [t for t in representatives if t in space]
-        vectors = space.context[[space.row(t) for t in candidates]]
-        norms = row_norms(vectors)
-        keep = np.flatnonzero(norms)
-        # vecdot takes one BLAS dot per row: the bits of np.dot(row, anchor).
-        sims = np.vecdot(vectors[keep], anchor) / norms[keep]
-        scored = [(candidates[i], float(s)) for i, s in zip(keep.tolist(), sims)]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        per_epoch[label] = scored[:top_n]
+        present, units = _unit_rows(space, representatives)
+        # One dot product per pair, as NeighborIndex.query scores it.
+        sims = np.vecdot(units, anchor)
+        per_epoch[label] = top_ranked(sims, np.array(present, dtype=str), top_n)
         per_epoch_count[label] = space.count(term)
     return TrajectoryReport(term, representatives, per_epoch, per_epoch_count)
 
@@ -143,51 +140,50 @@ def drift(space0: SemanticSpace, space1: SemanticSpace, min_total_count: int = 1
     ensure_same_config([space0, space1])
     if not (1.0 >= thresholds[0] > thresholds[1] > thresholds[2] > -1.0):
         raise ConfigError(f"thresholds must descend within (-1, 1]: {thresholds}")
-    excluded_terms = set(exclude)
     if terms is not None:
-        candidates = sorted(set(terms))
+        candidates = np.array(sorted(set(terms)), dtype=str)
     else:
-        candidates = np.union1d(space0.terms, space1.terms).tolist()
+        candidates = np.union1d(space0.terms, space1.terms)
     index0 = space0.neighbor_index(min_count=neighbor_min_count)
     index1 = space1.neighbor_index(min_count=neighbor_min_count)
 
-    excluded = {}
-    kept, rows0, rows1 = [], [], []
-    for term in candidates:
-        k0, k1 = space0.row(term), space1.row(term)
-        if term in excluded_terms:
-            excluded[term] = "excluded"
-        elif k0 is None:
-            excluded[term] = "absent-period0"
-        elif k1 is None:
-            excluded[term] = "absent-period1"
-        elif space0.counts[k0] + space1.counts[k1] < min_total_count:
-            excluded[term] = "below-min-count"
-        else:
-            kept.append(term)
-            rows0.append(k0)
-            rows1.append(k1)
-    context0, context1 = space0.context[rows0], space1.context[rows1]
+    rows0, rows1 = _rows_of(space0, candidates), _rows_of(space1, candidates)
+    both = (rows0 >= 0) & (rows1 >= 0)
+    total_counts = np.zeros(len(candidates), dtype=np.int64)
+    total_counts[both] = space0.counts[rows0[both]] + space1.counts[rows1[both]]
+    # The first reason that applies, in this order, is the one recorded.
+    reasons = np.select(
+        [np.isin(candidates, np.array(list(exclude), dtype=str)), rows0 < 0, rows1 < 0,
+         total_counts < min_total_count],
+        ["excluded", "absent-period0", "absent-period1", "below-min-count"], "")
+    eligible = reasons == ""
+    excluded = dict(zip(candidates[~eligible].tolist(), reasons[~eligible].tolist()))
+    context0, context1 = space0.context[rows0[eligible]], space1.context[rows1[eligible]]
     norms0, norms1 = row_norms(context0), row_norms(context1)
     nonzero = (norms0 != 0.0) & (norms1 != 0.0)
-    excluded.update((kept[i], "zero-vector") for i in np.flatnonzero(~nonzero).tolist())
+    excluded.update(dict.fromkeys(candidates[eligible][~nonzero].tolist(), "zero-vector"))
+    kept = candidates[eligible][nonzero].tolist()
     units0 = np.divide(context0[nonzero], norms0[nonzero, None], dtype=np.float64)
     units1 = np.divide(context1[nonzero], norms1[nonzero, None], dtype=np.float64)
-    records = []
-    for i, v0, v1 in zip(np.flatnonzero(nonzero).tolist(), units0, units1):
-        term = kept[i]
-        sigma01 = float(np.dot(v0, v1))
-        records.append(
-            DriftRecord(
-                term,
-                sigma01,
-                index0.query(v0, top_n, exclude={term}),
-                index1.query(v1, top_n, exclude={term}),
-                _drift_category(sigma01, thresholds),
-            )
-        )
+    excludes = [{term} for term in kept]
+    neighbors0 = index0.query_many(units0, top_n, excludes)
+    neighbors1 = index1.query_many(units1, top_n, excludes)
+    # vecdot takes one BLAS dot per row: the bits of np.dot(v0, v1).
+    sigmas = np.vecdot(units0, units1).tolist()
+    records = [
+        DriftRecord(term, sigma01, hits0, hits1, _drift_category(sigma01, thresholds))
+        for term, sigma01, hits0, hits1 in zip(kept, sigmas, neighbors0, neighbors1)
+    ]
     records.sort(key=lambda record: (record.sigma01, record.term))
     return DriftReport(space0.epoch_label, space1.epoch_label, records, excluded)
+
+
+def _rows_of(space: SemanticSpace, terms: np.ndarray) -> np.ndarray:
+    """Row of each of ``terms`` in ``space``, or -1 where it holds none."""
+    rows = np.searchsorted(space.terms, terms)
+    found = rows < len(space)
+    found[found] = space.terms[rows[found]] == terms[found]
+    return np.where(found, rows, -1)
 
 
 def _unit_rows(space: SemanticSpace, terms):
@@ -301,6 +297,8 @@ def predict_position(space: SemanticSpace, term: str, offset: int, top_n: int = 
     Offset 0 is rejected: decoding the center position would only recover
     the term itself.
     """
+    if top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
     span = space.config.order_span
     if offset == 0 or abs(offset) > span:
         raise ConfigError(

@@ -471,6 +471,16 @@ def top_ranked(scores: np.ndarray, terms: np.ndarray, n: int) -> list:
     return [(str(terms[i]), float(scores[i])) for i in ranked[:n]]
 
 
+# Queries scored per BLAS product in ``NeighborIndex.query_many``; bounds
+# the block's score matrix to _QUERY_BLOCK * V floats.
+_QUERY_BLOCK = 64
+
+# Bound on the norm of an index row: x / |x| in float64 is a unit vector up
+# to a few ulps.  The slack also covers the roundings in computing |q| and
+# the margin itself.
+_ROW_NORM_BOUND = 1.0 + 2.0**-20
+
+
 class NeighborIndex:
     """Read-only snapshot of a space's normalized context vectors, built
     once and scanned per query; ``SemanticSpace.neighbor_index`` keeps one
@@ -485,13 +495,75 @@ class NeighborIndex:
         self.matrix = np.divide(vectors, norms[keep, None], dtype=np.float64)
 
     def query(self, vec: np.ndarray, top_n: int, exclude=()) -> list:
+        """``query_many`` for one query vector."""
+        return self.query_many(np.asarray(vec, dtype=np.float64)[None], top_n, [exclude])[0]
+
+    def query_many(self, queries: np.ndarray, top_n: int, excludes) -> list:
+        """For each row q of ``queries`` (Q x dim), the ``top_n`` terms by
+        similarity descending, ties by term ascending, leaving out the terms
+        in its entry of ``excludes`` (one collection of terms per query).
+
+        A similarity is ``np.dot(row, q)`` for the term's unit row: one dot
+        product of the pair, whatever the batch, the index's other rows or
+        the BLAS thread count.  The BLAS product over the whole index only
+        preselects the rows that can rank.
+        """
         if top_n < 1:
             raise ConfigError(f"top_n must be >= 1, got {top_n}")
-        sims = self.matrix @ np.asarray(vec, dtype=np.float64)
-        exclude = set(exclude)
+        queries = np.asarray(queries, dtype=np.float64)
+        excludes = [set(exclude) for exclude in excludes]
+        if len(excludes) != len(queries):
+            raise ValueError("query_many needs one exclude collection per query")
+        results = []
+        for first in range(0, len(queries), _QUERY_BLOCK):
+            block = slice(first, first + _QUERY_BLOCK)
+            results += self._query_block(queries[block], top_n, excludes[block])
+        return results
+
+    def _query_block(self, queries, top_n: int, excludes) -> list:
+        n_rows, dim = self.matrix.shape
+        if n_rows == 0:
+            return [[] for _ in excludes]
+        # Preselect.  Each score of the BLAS product is some sum of the dim
+        # products r_i * q_i, in any order, with or without FMA, so it lies
+        # within gamma * |q| * |r| of the exact dot product (Cauchy-Schwarz),
+        # gamma = dim*u / (1 - dim*u).  The per-pair rescore below obeys the
+        # same bound, so the two differ by at most d = 2 * gamma * |q| * R,
+        # with R >= every |r|.  Let T be the k-th best rescored value.  The
+        # k-th best preselect score is at most T + d, and every row rescored
+        # at T or above (the top k, ties included) has a preselect score of
+        # at least T - d.  So keeping every row within 2d = 4 * gamma * |q| * R
+        # of the k-th best preselect score keeps all of them.  A NaN or
+        # infinite query makes the margin or the threshold NaN, and every row
+        # stays.
+        u = 2.0**-53
+        gamma = dim * u / (1.0 - dim * u)
+        margins = 4.0 * gamma * _ROW_NORM_BOUND * row_norms(queries)
         # At most len(exclude) of the first top_n + len(exclude) are dropped.
-        ranked = top_ranked(sims, self.terms, top_n + len(exclude))
-        return [(term, sim) for term, sim in ranked if term not in exclude][:top_n]
+        ks = np.minimum([top_n + len(exclude) for exclude in excludes], n_rows)
+        # One GEMM; numpy makes it a gemv for a single query.
+        scores = queries @ self.matrix.T
+        # The k-th best score sits at ascending position n_rows - k.
+        positions = n_rows - ks
+        kth = np.partition(scores, np.unique(positions), axis=1)[
+            np.arange(len(queries)), positions]
+        keep = ~(scores < (kth - margins)[:, None])
+        results = []
+        for q, candidates, exclude in zip(queries, keep, excludes):
+            rows = np.flatnonzero(candidates)
+            # Rescore: one dot product per (row, query) pair.
+            exact = np.vecdot(self.matrix[rows], q)
+            # Rank: score descending, then term; NaN sorts last.
+            terms = self.terms[rows]
+            ranked = np.lexsort((terms, -exact))
+            hits = []
+            for term, sim in zip(terms[ranked].tolist(), exact[ranked].tolist()):
+                if term not in exclude:
+                    hits.append((term, sim))
+                    if len(hits) == top_n:
+                        break
+            results.append(hits)
+        return results
 
 
 def ensure_same_config(spaces) -> SpaceConfig:

@@ -23,6 +23,8 @@ from helpers import (
     write_epoch_dir,
 )
 
+SRC = Path(driftspace.__file__).resolve().parent.parent
+
 BUILD_FLAGS = [
     "--dim", "64", "--window", "5",
     "--top-k", "0", "--min-count", "1",
@@ -459,6 +461,40 @@ class TestReportsCommands:
         lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "rank\tterm\tscore"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("top_n", ["0", "-3"])
+    def test_predict_top_n_below_one_is_exit_2(self, built, tmp_path, top_n):
+        code = cli.main(
+            ["predict", "gizmo", "1", "--space", str(built / "e1.space"),
+             "--out", str(tmp_path / "run"), "--top-n", top_n]
+        )
+        assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("top_n", ["0", "-3"])
+    def test_trajectory_top_n_below_one_is_exit_2(self, built, total_space, tmp_path, top_n):
+        code = cli.main(
+            ["trajectory", "gizmo", "--total", str(total_space),
+             "--spaces", str(built / "e1.space"), str(built / "e2.space"),
+             "--out", str(tmp_path / "run"), "--top-n", top_n]
+        )
+        assert code == cli.EXIT_CONFIG
+
+    def test_drift_report_does_not_depend_on_blas_threads(self, built, tmp_path):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "driftspace", "drift",
+                 "--space0", str(built / "e1.space"), "--space1", str(built / "e2.space"),
+                 "--min-total-count", "1", "--out", str(out), "--format", "json"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["records"]
 
     def test_predict_zero_offset_is_exit_2(self, built, tmp_path):
         code = cli.main(

@@ -11,6 +11,7 @@ from driftspace import (
     CombineMismatchError,
     ConfigError,
     MissingDataError,
+    NeighborIndex,
     SemanticSpace,
     SpaceConfig,
     TermNotFoundError,
@@ -22,6 +23,7 @@ from driftspace import (
     qualifier_gender,
     time_trajectory,
 )
+from driftspace import space as space_module
 from driftspace.diachronic import DRIFT_CATEGORIES, DRIFT_THRESHOLDS
 from driftspace.vectors import apply_permutation
 
@@ -99,6 +101,40 @@ class TestTrajectory:
         total, spaces = phase_spaces
         with pytest.raises(ConfigError):
             time_trajectory(total, [spaces[0], spaces[0]], "gizmo")
+
+    @pytest.mark.parametrize("top_n", [0, -3])
+    def test_top_n_below_one_rejected(self, phase_spaces, top_n):
+        total, spaces = phase_spaces
+        with pytest.raises(ConfigError):
+            time_trajectory(total, spaces, "gizmo", top_n=top_n)
+
+    @pytest.mark.parametrize("width", [np.float64, np.float32])
+    def test_similarity_equals_the_epoch_index_score_bitwise(self, phase_spaces, width):
+        total, spaces = phase_spaces
+        total, spaces = _narrowed(total, width), [_narrowed(s, width) for s in spaces]
+        report = time_trajectory(total, spaces, "gizmo", r_size=30, top_n=30)
+        anchor = total.term_vector("gizmo", normalized=True)
+        for space in spaces:
+            index = NeighborIndex(space)
+            scores = dict(index.query(anchor, len(index.terms)))
+            hits = report.per_epoch[space.epoch_label]
+            assert hits
+            for term, similarity in hits:
+                assert similarity.hex() == scores[term].hex(), (space.epoch_label, term)
+
+
+def _narrowed(space, width):
+    out = SemanticSpace.empty(space.config, space.epoch_label, float_dtype=width)
+    out.set_rows(space.terms, space.counts, space.context.astype(width),
+                 space.order.astype(width))
+    return out
+
+
+def _drift_bits(records) -> list:
+    """Records with every float as its hex form, so == compares bits."""
+    return [(r.term, r.sigma01.hex(), r.category,
+             [(t, s.hex()) for t, s in r.neighbors0],
+             [(t, s.hex()) for t, s in r.neighbors1]) for r in records]
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +228,25 @@ class TestDrift:
         p1 = build_space(other, "p1", [["a", "b"]])
         with pytest.raises(CombineMismatchError):
             drift(p0, p1)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_query_blocks_do_not_change_the_report(self, gradient, monkeypatch, block):
+        p0, p1, _ = gradient
+        default = drift(p0, p1, min_total_count=1, top_n=7)
+        assert len(default.records) > 2 * 3
+        monkeypatch.setattr(space_module, "_QUERY_BLOCK", block)
+        blocked = drift(p0, p1, min_total_count=1, top_n=7)
+        assert _drift_bits(blocked.records) == _drift_bits(default.records)
+        assert blocked.excluded == default.excluded
+
+    def test_a_term_subset_gives_the_full_run_records(self, gradient):
+        p0, p1, subjects = gradient
+        full = {r.term: r for r in drift(p0, p1, min_total_count=1).records}
+        subset = subjects[::3] + ["ctxa03", "ghost"]
+        report = drift(p0, p1, min_total_count=1, terms=subset)
+        assert _drift_bits(report.records) == _drift_bits(
+            sorted((full[t] for t in subset if t in full), key=lambda r: (r.sigma01, r.term)))
+        assert report.excluded == {"ghost": "absent-period0"}
 
     def test_sigma_is_scale_invariant_bitwise(self):
         rng = random.Random(42)
@@ -404,6 +459,11 @@ class TestPredictPosition:
         hits = predict_position(bigram_space, "alpha", 1, top_n=50, min_count=20)
         terms = [t for t, _ in hits]
         assert set(terms) <= {"alpha", "beta"}
+
+    @pytest.mark.parametrize("top_n", [0, -3])
+    def test_top_n_below_one_rejected(self, bigram_space, top_n):
+        with pytest.raises(ConfigError):
+            predict_position(bigram_space, "alpha", 1, top_n=top_n)
 
     def test_top_n_clipped_to_vocabulary(self):
         space = build_space(CFG, "e", [["a", "b", "c"]])

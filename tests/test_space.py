@@ -383,6 +383,59 @@ def _full_sort_query(index, vec, top_n, exclude):
     return out[:top_n]
 
 
+def _per_pair_full_sort(index, q, top_n, exclude):
+    """A query's hits by a full lexsort of one dot product per row."""
+    sims = np.vecdot(index.matrix, np.asarray(q, dtype=np.float64))
+    out = [(str(index.terms[i]), float(sims[i])) for i in np.lexsort((index.terms, -sims))
+           if str(index.terms[i]) not in exclude]
+    return out[:top_n]
+
+
+def _bits(hits) -> bytes:
+    return np.array([s for _, s in hits], dtype=np.float64).tobytes()
+
+
+@st.composite
+def _query_cases(draw):
+    """A NeighborIndex of a 64- or 32-bit space whose rows include exact
+    duplicates (ties) and copies one ulp apart (near-ties), with unit,
+    non-unit, zero and NaN queries, and a query block size."""
+    dim = draw(st.sampled_from([2, 3, 17, 40, 300]))
+    n_rows = draw(st.integers(0, 24))
+    width = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n_rows, dim)).astype(width)
+    for _ in range(draw(st.integers(0, 12)) if n_rows > 1 else 0):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        rows[i] = rows[j]
+        for k in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+            rows[i, k] = np.nextafter(rows[i, k], width(draw(st.sampled_from([np.inf, -np.inf]))))
+    space = SemanticSpace.empty(SpaceConfig(dim=dim, window=3, order_span=1), "e",
+                                float_dtype=width)
+    terms = np.array([f"t{i:02d}" for i in range(n_rows)], dtype=str)
+    space.set_rows(terms, np.ones(n_rows, dtype=np.int64), rows, rows.copy())
+    index = NeighborIndex(space)
+    queries = []
+    for kind in draw(st.lists(st.sampled_from(["row", "raw", "scaled", "zero", "nan"]),
+                              min_size=1, max_size=8)):
+        if kind in ("row", "raw") and len(index.matrix):
+            k = draw(st.integers(0, len(index.matrix) - 1))
+            q = index.matrix[k] if kind == "row" else rows[k].astype(np.float64)
+        elif kind == "zero":
+            q = np.zeros(dim)
+        elif kind == "nan":
+            q = rng.standard_normal(dim)
+            q[draw(st.integers(0, dim - 1))] = np.nan
+        else:
+            q = rng.standard_normal(dim) * draw(st.sampled_from([1e-3, 1.0, 7.0]))
+        queries.append(q)
+    top_n = draw(st.integers(1, n_rows + 3))
+    names = [f"t{i:02d}" for i in range(n_rows + 2)]
+    excludes = [draw(st.sets(st.sampled_from(names), max_size=4)) for _ in queries]
+    block = draw(st.sampled_from([1, 2, 3, 64]))
+    return index, np.array(queries), top_n, excludes, block
+
+
 class TestNeighborIndex:
     @pytest.mark.parametrize("width", [np.float64, np.float32])
     def test_matrix_has_the_bits_of_per_row_normalization(self, width):
@@ -436,6 +489,25 @@ class TestNeighborIndex:
         index.matrix = np.array(rows, dtype=np.float64)
         exclude = {f"t{i:02d}" for i in excluded}
         assert index.query(vec, top_n, exclude) == _full_sort_query(index, vec, top_n, exclude)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_query_cases())
+    def test_query_many_equals_a_full_sort_of_per_pair_dots(self, case):
+        index, queries, top_n, excludes, block = case
+        saved = space_module._QUERY_BLOCK
+        space_module._QUERY_BLOCK = block
+        try:
+            got = index.query_many(queries, top_n, excludes)
+        finally:
+            space_module._QUERY_BLOCK = saved
+        assert len(got) == len(queries)
+        for hits, q, exclude in zip(got, queries, excludes):
+            want = _per_pair_full_sort(index, q, top_n, exclude)
+            assert [t for t, _ in hits] == [t for t, _ in want]
+            assert _bits(hits) == _bits(want)
+            single = index.query(q, top_n, exclude)
+            assert [t for t, _ in single] == [t for t, _ in want]
+            assert _bits(single) == _bits(want)
 
     @settings(max_examples=200, deadline=None)
     @given(
