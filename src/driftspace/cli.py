@@ -219,12 +219,26 @@ def _load_spaces(paths) -> list:
 
 
 def _emit(ns: argparse.Namespace, report) -> int:
+    """Write the report and config.txt under --out, then print the report.
+
+    A reader that closes stdout early (``| head``) costs nothing: the report
+    is already complete on disk, so that is still a success."""
     text = reports.render(report, ns.format)
-    sys.stdout.write(text)
     out_dir = Path(ns.out)
     path = reports.write_report(text, out_dir, ns.format)
     _write_run_config(out_dir, ns)
     print(f"report written to {path}", file=sys.stderr)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at /dev/null so that the interpreter's final flush of
+        # what is still buffered does not fail again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
     return EXIT_OK
 
 

@@ -4,12 +4,16 @@ Every analysis result renders in three formats.  TSV is long-form (one
 fact per row) for machine use; JSON mirrors the report structure; pretty
 prints epoch-by-column tables with absent cells shown as an em dash and
 cell contents capped at a fixed width.
+
+JSON is written by ``to_json``: the bytes of ``json.dumps(value, indent=2,
+sort_keys=True)`` without the cost of the standard library's pure-Python
+indenting encoder, which ``json.dumps`` runs whenever ``indent`` is given.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .diachronic import (
@@ -33,6 +37,106 @@ class TableReport:
     title: str
     columns: list
     rows: list
+
+
+class Neighbors(list):
+    """Ranked ``(term, similarity)`` pairs; ``to_json`` writes each pair as
+    the object ``{"similarity": similarity, "term": term}``."""
+
+    __slots__ = ()
+
+
+_INFINITY = float("inf")
+
+
+def _float(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break plus the indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    elif isinstance(value, Neighbors) and value:
+        inner = newline + "  "
+        field = inner + "  "
+        head = "{" + field + '"similarity": '
+        middle = "," + field + '"term": '
+        tail = inner + "}"
+        pairs = [
+            head + _float(sigma) + middle + _quote(term) + tail
+            for term, sigma in value
+        ]
+        out.append("[" + inner + ("," + inner).join(pairs) + newline + "]")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        separator = inner
+        for item in value:
+            out.append(separator)
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        separator = inner
+        for key, item in sorted(value.items()):
+            out.append(separator + _key(key) + ": ")
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def to_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with
+    ``Neighbors`` lists written as lists of similarity/term objects."""
+    out: list = []
+    _write(value, out, "\n")
+    return "".join(out)
 
 
 def _cell(value, width: int = MAX_CELL) -> str:
@@ -96,10 +200,7 @@ def _trajectory_json(report: TrajectoryReport) -> dict:
         "epochs": {
             label: {
                 "count": report.per_epoch_count.get(label, 0),
-                "neighbors": [
-                    {"term": term, "similarity": sigma}
-                    for term, sigma in report.per_epoch[label]
-                ],
+                "neighbors": Neighbors(report.per_epoch[label]),
             }
             for label in sorted(report.per_epoch)
         },
@@ -163,12 +264,8 @@ def _drift_json(report: DriftReport) -> dict:
                 "term": record.term,
                 "sigma01": record.sigma01,
                 "category": record.category,
-                "neighbors0": [
-                    {"term": t, "similarity": s} for t, s in record.neighbors0
-                ],
-                "neighbors1": [
-                    {"term": t, "similarity": s} for t, s in record.neighbors1
-                ],
+                "neighbors0": Neighbors(record.neighbors0),
+                "neighbors1": Neighbors(record.neighbors1),
             }
             for record in report.records
         ],
@@ -262,11 +359,7 @@ def _equivalence_json(report: EquivalenceReport) -> dict:
         "term": report.anchor_term,
         "anchor_epoch": report.anchor_epoch,
         "epochs": {
-            label: (
-                None
-                if hits is None
-                else [{"term": t, "similarity": s} for t, s in hits]
-            )
+            label: None if hits is None else Neighbors(hits)
             for label, hits in sorted(report.per_epoch.items())
         },
     }
@@ -325,13 +418,13 @@ def render(report, fmt: str) -> str:
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     try:
-        to_tsv, to_json, to_pretty = _RENDERERS[type(report)]
+        to_tsv, to_value, to_pretty = _RENDERERS[type(report)]
     except KeyError:
         raise ConfigError(f"no renderer for {type(report).__name__}") from None
     if fmt == "tsv":
         return to_tsv(report)
     if fmt == "json":
-        return json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"
+        return to_json(to_value(report)) + "\n"
     return to_pretty(report) + "\n"
 
 

@@ -644,6 +644,61 @@ class TestReportOutput:
         assert (out / f"report.{ext}").read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
+def _analysis_argv(command, built, total_space, tmp_path):
+    e1, e2 = str(built / "e1.space"), str(built / "e2.space")
+    if command == "bias":
+        files = {}
+        for name, text in (("qualifiers", "mango\nrouter\n"), ("man-terms", "papaya\nguava\n"),
+                           ("woman-terms", "modem\nserver\n")):
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text, encoding="utf-8")
+        return ["bias", "--spaces", e1, e2] + [
+            arg for name, path in files.items() for arg in (f"--{name}", str(path))]
+    return {
+        "neighbors": ["neighbors", "gizmo", "--space", e1],
+        "predict": ["predict", "gizmo", "1", "--space", e1],
+        "trajectory": ["trajectory", "gizmo", "--total", str(total_space),
+                       "--spaces", e1, e2, "--r-size", "20"],
+        "drift": ["drift", "--space0", e1, "--space1", e2, "--min-total-count", "1"],
+        "equiv": ["equiv", "gizmo", "--anchor-epoch", "e1", "--spaces", e1, e2],
+        "normfreq": ["normfreq", "gizmo", "--spaces", e1, e2],
+    }[command]
+
+
+class TestJsonReportBytes:
+    @pytest.mark.parametrize(
+        "command", ["neighbors", "predict", "trajectory", "drift", "bias", "equiv", "normfreq"])
+    def test_report_is_a_json_dumps_fixed_point(self, command, built, total_space, tmp_path,
+                                                capsys):
+        out = tmp_path / "run"
+        argv = _analysis_argv(command, built, total_space, tmp_path)
+        assert cli.main(argv + ["--out", str(out), "--format", "json"]) == cli.EXIT_OK
+        data = (out / "report.json").read_bytes()
+        canonical = json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n"
+        assert data == canonical.encode("ascii")
+        assert capsys.readouterr().out.encode("utf-8") == data
+
+    def test_closed_stdout_pipe_still_writes_the_report(self, built, tmp_path, capsys):
+        argv = _analysis_argv("drift", built, None, tmp_path) + ["--format", "json"]
+        assert cli.main(argv + ["--out", str(tmp_path / "in_process")]) == cli.EXIT_OK
+        rendered = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / "piped"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write by the child fails with EPIPE
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "driftspace", *argv, "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stderr == f"report written to {out / 'report.json'}\n"
+        assert (out / "report.json").read_bytes() == rendered
+        assert (out / "config.txt").exists()
+
+
 class TestConfigFile:
     def test_config_file_overrides_flags(self, built, tmp_path):
         conf = tmp_path / "run.conf"

@@ -1,8 +1,12 @@
 """Rendering of analysis results as TSV, JSON, and aligned text."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftspace import (
     ConfigError,
@@ -12,7 +16,15 @@ from driftspace import (
     GenderReport,
     TrajectoryReport,
 )
-from driftspace.reports import ABSENT, MAX_CELL, TableReport, render, write_report
+from driftspace.reports import (
+    ABSENT,
+    MAX_CELL,
+    Neighbors,
+    TableReport,
+    render,
+    to_json,
+    write_report,
+)
 
 
 @pytest.fixture
@@ -194,3 +206,189 @@ class TestWriteReport:
             path = write_report(render(trajectory, fmt), tmp_path / fmt, fmt)
             assert path == tmp_path / fmt / f"report.{ext}"
             assert path.read_text(encoding="utf-8") == render(trajectory, fmt)
+
+
+# --- the JSON writer against json.dumps ---------------------------------------
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_TRICKY_CHARS = '"\\/\x00\x08\x0c\x1f\x7f\x80é€\u2028\ud800\udfff\U0001f600 aZ'
+texts = st.text() | st.text(alphabet=st.sampled_from(_TRICKY_CHARS)) | st.text(
+    alphabet=st.characters(categories=["Cs"]), min_size=1, max_size=3
+)
+floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | floats
+    | floats.map(np.float64)
+    | texts
+)
+json_values = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(texts, children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.dictionaries(floats, children, max_size=3)
+        | st.dictionaries(st.booleans(), children, max_size=2)
+        | st.dictionaries(st.none() | st.integers() | texts, children, max_size=3)
+    ),
+    max_leaves=25,
+)
+pair_lists = st.lists(st.tuples(texts, floats | floats.map(np.float64)), max_size=4)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        """The text of ``json.dumps``, or the exception it raises."""
+        try:
+            expected = dumps(value)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                to_json(value)
+        else:
+            assert to_json(value) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists, st.integers(min_value=0, max_value=3))
+    def test_neighbors_render_as_similarity_term_objects(self, pairs, depth):
+        value, expected = Neighbors(pairs), [{"term": t, "similarity": s} for t, s in pairs]
+        for level in range(depth):
+            value, expected = {f"k{level}": [value]}, {f"k{level}": [expected]}
+        assert to_json(value) == dumps(expected)
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf, np.float64(0.1), 2**100, -(2**70),
+        True, False, None, [], {}, (), [[]], {"a": {}}, "\ud800", "caf\u00e9 \"q\" \\ \x01",
+        {1: "int key", 2.5: "float key"}, {True: "t", False: "f"}, {None: "null key"},
+    ])
+    def test_edge_values(self, value):
+        assert to_json(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        object(), {1, 2}, b"bytes", np.int64(3), np.float32(1.5), np.array([1.0]),
+        {"k": [1, object()]}, {(1, 2): "tuple key"}, {1: "a", "b": "mixed keys"},
+    ])
+    def test_unsupported_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+        with pytest.raises(TypeError):
+            to_json(value)
+
+
+# The dict forms the JSON renderers built before ranked lists travelled as
+# ``Neighbors``: render must still give their json.dumps bytes.
+
+def _pairs(pairs):
+    return [{"term": t, "similarity": s} for t, s in pairs]
+
+
+def old_trajectory_json(report):
+    return {
+        "type": "trajectory",
+        "term": report.term,
+        "representative_set": list(report.representative_set),
+        "epochs": {
+            label: {
+                "count": report.per_epoch_count.get(label, 0),
+                "neighbors": _pairs(report.per_epoch[label]),
+            }
+            for label in sorted(report.per_epoch)
+        },
+    }
+
+
+def old_drift_json(report):
+    return {
+        "type": "drift",
+        "period0": report.period0_label,
+        "period1": report.period1_label,
+        "records": [
+            {
+                "term": record.term,
+                "sigma01": record.sigma01,
+                "category": record.category,
+                "neighbors0": _pairs(record.neighbors0),
+                "neighbors1": _pairs(record.neighbors1),
+            }
+            for record in report.records
+        ],
+        "excluded": dict(sorted(report.excluded.items())),
+    }
+
+
+def old_gender_json(report):
+    votes = {}
+    for (qualifier, year), vote in report.per_year_votes.items():
+        votes.setdefault(year, {})[qualifier] = vote
+    return {
+        "type": "gender",
+        "period": report.period_label,
+        "male": list(report.male_qualifiers),
+        "female": list(report.female_qualifiers),
+        "votes": {year: dict(sorted(votes[year].items())) for year in sorted(votes)},
+    }
+
+
+def old_equivalence_json(report):
+    return {
+        "type": "equivalence",
+        "term": report.anchor_term,
+        "anchor_epoch": report.anchor_epoch,
+        "epochs": {
+            label: None if hits is None else _pairs(hits)
+            for label, hits in sorted(report.per_epoch.items())
+        },
+    }
+
+
+def old_table_json(report):
+    return {
+        "type": "table",
+        "title": report.title,
+        "columns": list(report.columns),
+        "rows": [list(row) for row in report.rows],
+    }
+
+
+def assert_json_bytes(report, old_form):
+    assert render(report, "json") == dumps(old_form(report)) + "\n"
+
+
+class TestReportJsonBytes:
+    def test_trajectory(self, trajectory):
+        assert_json_bytes(trajectory, old_trajectory_json)
+        trajectory.per_epoch["e3"] = []
+        trajectory.per_epoch["é4"] = [("naïve", math.nan), ("x\"y", -0.0)]
+        assert_json_bytes(trajectory, old_trajectory_json)
+
+    def test_drift(self, drift_report):
+        assert_json_bytes(drift_report, old_drift_json)
+        drift_report.records.append(
+            DriftRecord("café", math.inf, [("\u2028", 1e-7)], [("b", 5e-324)], "stable")
+        )
+        drift_report.excluded = {"zeta": "below-min-count", "alpha": "absent-period0"}
+        assert_json_bytes(drift_report, old_drift_json)
+
+    def test_gender(self, gender_report):
+        assert_json_bytes(gender_report, old_gender_json)
+
+    def test_equivalence(self, equivalence):
+        assert_json_bytes(equivalence, old_equivalence_json)
+        equivalence.per_epoch["e03"] = []
+        assert_json_bytes(equivalence, old_equivalence_json)
+
+    def test_table(self):
+        table = TableReport("t ü", ["rank", "term", "score"],
+                            [[1, "beta", 29.5], [2, "γ", math.nan], (3, "d", -1e16)])
+        assert_json_bytes(table, old_table_json)
