@@ -41,7 +41,7 @@ from .errors import (
     UndefinedSimilarityError,
     VersionMismatchError,
 )
-from .persistence import load_space, save_space, write_space_tsv
+from .persistence import load_space, load_spaces, save_space, write_space_tsv
 from .space import (
     NeighborIndex,
     SemanticSpace,
@@ -96,6 +96,7 @@ __all__ = [
     "filtered_stream",
     "inverse_log_weights",
     "load_space",
+    "load_spaces",
     "norm_frequency_series",
     "predict_position",
     "qualifier_gender",

@@ -214,10 +214,6 @@ def _resolve_workers(ns: argparse.Namespace) -> int:
     return workers
 
 
-def _load_spaces(paths) -> list:
-    return [persistence.load_space(path) for path in paths]
-
-
 def _emit(ns: argparse.Namespace, report) -> int:
     """Write the report and config.txt under --out, then print the report.
 
@@ -368,8 +364,7 @@ def cmd_combine(ns: argparse.Namespace) -> int:
 
 
 def cmd_trajectory(ns: argparse.Namespace) -> int:
-    total = persistence.load_space(ns.total)
-    epochs = _load_spaces(ns.spaces)
+    total, *epochs = persistence.load_spaces([ns.total, *ns.spaces])
     extra = _read_terms_file(ns.extra_terms) if ns.extra_terms else ()
     report = diachronic.time_trajectory(
         total,
@@ -384,8 +379,7 @@ def cmd_trajectory(ns: argparse.Namespace) -> int:
 
 
 def cmd_drift(ns: argparse.Namespace) -> int:
-    space0 = persistence.load_space(ns.space0)
-    space1 = persistence.load_space(ns.space1)
+    space0, space1 = persistence.load_spaces([ns.space0, ns.space1])
     exclude = _read_terms_file(ns.exclude_file) if ns.exclude_file else ()
     report = diachronic.drift(
         space0,
@@ -400,7 +394,7 @@ def cmd_drift(ns: argparse.Namespace) -> int:
 
 
 def cmd_bias(ns: argparse.Namespace) -> int:
-    epochs = _load_spaces(ns.spaces)
+    epochs = persistence.load_spaces(ns.spaces)
     qualifiers = _read_terms_file(ns.qualifiers)
     man_terms = _read_terms_file(ns.man_terms)
     woman_terms = _read_terms_file(ns.woman_terms)
@@ -423,7 +417,7 @@ def cmd_bias(ns: argparse.Namespace) -> int:
 
 
 def cmd_equiv(ns: argparse.Namespace) -> int:
-    epochs = _load_spaces(ns.spaces)
+    epochs = persistence.load_spaces(ns.spaces)
     report = diachronic.equivalents(
         epochs,
         ns.term,
@@ -467,7 +461,7 @@ def cmd_neighbors(ns: argparse.Namespace) -> int:
 
 
 def cmd_normfreq(ns: argparse.Namespace) -> int:
-    epochs = sorted(_load_spaces(ns.spaces), key=lambda space: space.epoch_label)
+    epochs = sorted(persistence.load_spaces(ns.spaces), key=lambda space: space.epoch_label)
     series = norm_frequency_series(epochs, ns.term)
     rows = [[label, count, squared] for label, count, squared in series]
     report = reports.TableReport(

@@ -15,8 +15,8 @@ from statistics import fmean
 import numpy as np
 
 from .errors import ConfigError, MissingDataError, TermNotFoundError, UndefinedSimilarityError
-from .space import (NeighborIndex, SemanticSpace, ensure_same_config, row_norms, seed_matrix,
-                    top_ranked)
+from .space import (NeighborIndex, SemanticSpace, by_epoch_label, ensure_same_config, row_norms,
+                    seed_matrix, top_ranked)
 from .vectors import apply_permutation
 
 # Category boundaries on the inter-period similarity, highest first:
@@ -67,11 +67,7 @@ class EquivalenceReport:
 
 
 def _labeled_spaces(epoch_spaces) -> dict:
-    spaces = {}
-    for space in epoch_spaces:
-        if space.epoch_label in spaces:
-            raise ConfigError(f"duplicate epoch label {space.epoch_label!r}")
-        spaces[space.epoch_label] = space
+    spaces = by_epoch_label(epoch_spaces)
     if not spaces:
         raise ConfigError("at least one epoch space is required")
     ensure_same_config(list(spaces.values()))
@@ -90,6 +86,8 @@ def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int =
     ``top_n``.  Comparing slice vectors against a combined-space vector is
     sound because the spaces add linearly.
     """
+    if r_size < 1:
+        raise ConfigError(f"r_size must be >= 1, got {r_size}")
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
     spaces = _labeled_spaces(epoch_spaces)
@@ -271,6 +269,8 @@ def equivalents(epoch_spaces, term: str, anchor_epoch: str, top_k: int = 2,
     all are marked absent (None), not zero-filled.  With ``exclude_self``
     left off, the anchor epoch's own top hit is the term itself.
     """
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
     spaces = _labeled_spaces(epoch_spaces)
     if anchor_epoch not in spaces:
         raise MissingDataError(f"no epoch labeled {anchor_epoch!r} among the spaces")

@@ -30,8 +30,9 @@ named temp file in the target directory, are fsynced and renamed into place.
 The header fixes the size of every section but the term bytes, whose size
 the checked term lengths fix, so a load checks the whole layout against the
 file size before it allocates an array, then reads each section straight
-into its array.  Version 1 files (one checksummed record per term) are
-refused with VersionMismatchError.
+into its array; the two matrix sections are read and checked in pool
+threads (``load_spaces``).  Version 1 files (one checksummed record per
+term) are refused with VersionMismatchError.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ import contextlib
 import os
 import secrets
 import struct
+import threading
 import zlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -146,40 +150,56 @@ def _image(space: SemanticSpace, float_width: int):
         yield _U32.pack(zlib.crc32(data))
 
 
-class _Reader:
-    """Exact reads of a space file that know its size, so that a read
-    past the end is refused before anything is allocated for it."""
+def _read_at(fd: int, buffer, offset: int, what: str):
+    """Fill the writable ``buffer`` from the file at ``offset``.  A read
+    short of it means the file shrank after its size was taken."""
+    view = memoryview(buffer)
+    done = 0
+    while done < len(view):
+        got = os.preadv(fd, [view[done:]], offset + done)
+        if not got:
+            raise TruncatedFileError(offset + done, offset + len(view), what)
+        done += got
+    return buffer
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
+
+def _read_section(fd: int, array: np.ndarray, offset: int, what: str) -> np.ndarray:
+    """Fill ``array`` from the section at ``offset`` and check it against
+    the CRC-32 stored after it.  ``preadv`` and ``crc32`` release the GIL,
+    so pool threads read sections side by side."""
+    data = _raw_bytes(array)
+    _read_at(fd, data, offset, f"{what} section")
+    checksum = _read_at(fd, bytearray(_U32.size), offset + data.size, f"{what} checksum")
+    if zlib.crc32(data) != _U32.unpack(checksum)[0]:
+        raise ChecksumError(f"checksum mismatch in the {what} section")
+    return array
+
+
+class _Reader:
+    """Exact reads of a space file at a running offset that know the
+    file's size, so that a read past the end is refused before anything
+    is allocated for it."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.size = os.fstat(fd).st_size
         self.offset = 0
 
     def need(self, n: int, what: str) -> None:
         if self.offset + n > self.size:
             raise TruncatedFileError(self.size, self.offset + n, what)
 
-    def fill(self, buffer: np.ndarray, what: str) -> None:
-        """Read exactly ``buffer.size`` bytes into the uint8 ``buffer``."""
-        self.need(buffer.size, what)
-        got = self.fh.readinto(buffer)  # buffered: short only at the end of the file
-        if got != buffer.size:  # the file shrank after its size was taken
-            raise TruncatedFileError(self.offset + got, self.offset + buffer.size, what)
-        self.offset += got
-
     def take(self, n: int, what: str) -> bytes:
         self.need(n, what)
-        buffer = np.empty(n, dtype=np.uint8)
-        self.fill(buffer, what)
-        return buffer.tobytes()
+        data = bytes(_read_at(self.fd, bytearray(n), self.offset, what))
+        self.offset += n
+        return data
 
     def section(self, array: np.ndarray, what: str) -> np.ndarray:
-        """Fill ``array`` from the file and check the CRC-32 after it."""
-        data = _raw_bytes(array)
-        self.fill(data, f"{what} section")
-        (stored,) = _U32.unpack(self.take(_U32.size, f"{what} checksum"))
-        if zlib.crc32(data) != stored:
-            raise ChecksumError(f"checksum mismatch in the {what} section")
+        """Fill ``array`` from the file and check the CRC-32 after it;
+        ``check_layout`` has made sure that both fit."""
+        _read_section(self.fd, array, self.offset, what)
+        self.offset += array.nbytes + _U32.size
         return array
 
     def check_layout(self, sections, exact: bool) -> None:
@@ -202,32 +222,147 @@ def load_space(path) -> SemanticSpace:
     callers can map them to distinct exit codes.  Every section is read
     straight into the array the space keeps.
     """
-    with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        space, terms, dtype = _read_header(reader)
-        counts = reader.section(np.empty(len(terms), dtype=_COUNT), "counts")
-        if len(terms) and counts.min() < 0:
-            raise SpaceFormatError("a stored count exceeds 2**63 - 1")
-        shape = (len(terms), space.config.dim)
-        context = reader.section(np.empty(shape, dtype=dtype), "context")
-        order = reader.section(np.empty(shape, dtype=dtype), "order")
-    native = space.float_dtype
-    space.set_rows(terms, counts.astype(np.int64, copy=False),
-                   context.astype(native, copy=False), order.astype(native, copy=False))
-    return space
+    return load_spaces([path])[0]
+
+
+def load_spaces(paths) -> list:
+    """``[load_space(path) for path in paths]``, with the files' matrix
+    sections read and checked on every core.
+
+    The calling thread reads and checks each file's header, term table and
+    counts, and allocates its matrices; pool threads then read the context
+    and order sections into them and check their CRCs, while the calling
+    thread goes on to the next file.  It reads the last file's context
+    section itself, since it would otherwise only wait.  At most one file
+    more than the pool has threads is open at a time.  Errors are those of
+    sequential loads: the first damaged file in argument order raises, as
+    ``load_space`` would on it alone.
+    """
+    pool, threads = _section_pool()
+    paths = list(paths)
+    spaces, pending = [], deque()
+    try:
+        for k, path in enumerate(paths):
+            while len(pending) > threads:
+                spaces.append(pending.popleft().finish())
+            try:
+                pending.append(_Load(path, pool, last=k == len(paths) - 1))
+            except Exception:
+                # Damage in an earlier file is reported first, as it would
+                # be were the files loaded one after another.
+                while pending:
+                    pending.popleft().finish()
+                raise
+        while pending:
+            spaces.append(pending.popleft().finish())
+    finally:
+        for load in pending:
+            load.abandon()
+    return spaces
+
+
+class _Load:
+    """One open space file: its header, term table and counts read and
+    checked, its matrix sections being read by the pool, except the
+    context section of the ``last`` file, which ``finish`` reads.  Every
+    section comes through the one descriptor whose header was checked, so
+    a file renamed over the path meanwhile cannot be mixed in."""
+
+    def __init__(self, path, pool: ThreadPoolExecutor, last: bool):
+        self.file = open(path, "rb", buffering=0)
+        self.reads = []
+        self.own_read = None
+        try:
+            reader = _Reader(self.file.fileno())
+            self.space, dtype, table = _read_header(reader)
+            term_count = len(table[0])
+            shape = (term_count, self.space.config.dim)
+            # The layout is checked, so the matrix sections are known to
+            # follow the counts section.
+            offset = reader.offset + term_count * _COUNT.itemsize + _U32.size
+            for what in ("context", "order"):
+                # Allocated here, not in the pool threads: that kept peak
+                # RSS lower.
+                array = np.empty(shape, dtype=dtype)
+                if last and what == "context":
+                    self.own_read = (reader.fd, array, offset, what)
+                else:
+                    self.reads.append(pool.submit(_read_section, reader.fd, array, offset, what))
+                offset += array.nbytes + _U32.size
+            # Meanwhile, the checks of what precedes them in the file, in
+            # file order.
+            self.terms = _decode_terms(*table)
+            self.counts = reader.section(np.empty(term_count, dtype=_COUNT), "counts")
+            if term_count and self.counts.min() < 0:
+                raise SpaceFormatError("a stored count exceeds 2**63 - 1")
+        except BaseException:
+            self.abandon()
+            raise
+
+    def finish(self) -> SemanticSpace:
+        """The loaded space; a damaged section raises, the context
+        section's damage first."""
+        try:
+            own = [_read_section(*self.own_read)] if self.own_read else []
+            context, order = own + [read.result() for read in self.reads]
+        finally:
+            self.abandon()
+        native = self.space.float_dtype
+        self.space.set_rows(self.terms, self.counts.astype(np.int64, copy=False),
+                            context.astype(native, copy=False), order.astype(native, copy=False))
+        return self.space
+
+    def abandon(self) -> None:
+        """Close the file once no read of it can still run: reads not yet
+        started are cancelled, the others waited for."""
+        for read in self.reads:
+            read.cancel()
+        wait(self.reads)
+        self.file.close()
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _section_pool():
+    """``(pool, threads)``: the process's section readers, one thread per
+    CPU the process may run on, started on first use and kept, since
+    starting a pool per load cost time and peak RSS."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                threads = len(os.sched_getaffinity(0))
+            except AttributeError:  # not on every platform
+                threads = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="driftspace-load"), threads
+        return _pool
+
+
+def _drop_pool() -> None:
+    """A forked child has none of its parent's threads: its first load
+    starts a pool of its own."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
 
 
 def load_header(path):
     """``(space, terms)``: the space a file holds without its rows (config,
     label, float width and token total) and its sorted term table, read
     and checked as ``load_space`` checks them."""
-    with open(path, "rb") as fh:
-        return _read_header(_Reader(fh))[:2]
+    with open(path, "rb", buffering=0) as fh:
+        space, _, table = _read_header(_Reader(fh.fileno()))
+    return space, _decode_terms(*table)
 
 
 def _read_header(reader: _Reader):
-    """The header as an empty space, the term table and the file's float
-    dtype."""
+    """The header as an empty space, the file's float dtype and the term
+    table as read and checked, not yet decoded (``_decode_terms``)."""
     fixed = reader.take(_FIXED_HEADER.size, "fixed header")
     (magic, version, dim, window, order_span, global_seed, perm_seed, weighting_code,
      hash_algorithm, float_width, compaction) = _FIXED_HEADER.unpack(fixed)
@@ -275,12 +410,13 @@ def _read_header(reader: _Reader):
     space = SemanticSpace.empty(config, label, float_dtype=native)
     space.ingested_tokens = ingested_tokens
     dtype = _WIDTH_DTYPES[float_width]
-    return space, _read_terms(reader, term_count, dim * dtype.itemsize), dtype
+    return space, dtype, _read_term_table(reader, term_count, dim * dtype.itemsize)
 
 
-def _read_terms(reader: _Reader, term_count: int, row_bytes: int) -> np.ndarray:
-    """The term table as a sorted array, after checking that the file is
-    exactly as long as the header and the term lengths say."""
+def _read_term_table(reader: _Reader, term_count: int, row_bytes: int) -> tuple:
+    """``(lengths, blob)``: the term lengths and term bytes, after checking
+    that the file is exactly as long as the header and the term lengths
+    say."""
     sections = [
         ("term lengths", term_count * _LENGTH.itemsize),
         ("term bytes", term_count),  # at least one byte per term
@@ -293,13 +429,18 @@ def _read_terms(reader: _Reader, term_count: int, row_bytes: int) -> np.ndarray:
     sections[1] = ("term bytes", int(lengths.sum(dtype=np.uint64)))
     reader.check_layout(sections[1:], exact=True)
     blob = reader.section(np.empty(sections[1][1], dtype=np.uint8), "term bytes").tobytes()
+    return lengths, blob
+
+
+def _decode_terms(lengths: np.ndarray, blob: bytes) -> np.ndarray:
+    """The term table as a sorted array of terms."""
     ends = np.cumsum(lengths, dtype=np.int64).tolist()
     try:
         terms = [blob[end - n:end].decode("utf-8") for end, n in zip(ends, lengths.tolist())]
     except UnicodeDecodeError as exc:
         raise SpaceFormatError(f"a term is not valid UTF-8: {exc}") from None
     terms = np.array(terms, dtype=str)
-    if term_count and (lengths.min() == 0 or np.any(terms[1:] <= terms[:-1])):
+    if len(terms) and (lengths.min() == 0 or np.any(terms[1:] <= terms[:-1])):
         raise SpaceFormatError("the term table is not sorted, unique, non-empty terms")
     return terms
 

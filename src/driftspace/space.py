@@ -475,24 +475,36 @@ def top_ranked(scores: np.ndarray, terms: np.ndarray, n: int) -> list:
 # the block's score matrix to _QUERY_BLOCK * V floats.
 _QUERY_BLOCK = 64
 
-# Bound on the norm of an index row: x / |x| in float64 is a unit vector up
-# to a few ulps.  The slack also covers the roundings in computing |q| and
-# the margin itself.
-_ROW_NORM_BOUND = 1.0 + 2.0**-20
-
 
 class NeighborIndex:
-    """Read-only snapshot of a space's normalized context vectors, built
-    once and scanned per query; ``SemanticSpace.neighbor_index`` keeps one
-    per space for repeated queries (drift neighbor lists)."""
+    """A space's context rows and their norms, for neighbor queries over
+    the terms with at least ``min_count`` occurrences and a nonzero
+    vector.  ``SemanticSpace.neighbor_index`` keeps one per space for
+    repeated queries (drift neighbor lists) until the space changes: the
+    index may share the space's matrix.  It holds no normalized copy: a
+    query scales its scores by the inverse norms, and divides only the
+    rows that can rank."""
 
     def __init__(self, space: SemanticSpace, min_count: int = 1):
         norms = row_norms(space.context)
-        keep = np.flatnonzero((space.counts >= min_count) & (norms != 0.0))
-        # Keeping every row is common, and indexing would copy the matrix.
-        vectors = space.context if len(keep) == len(norms) else space.context[keep]
-        self.terms = space.terms[keep]
-        self.matrix = np.divide(vectors, norms[keep, None], dtype=np.float64)
+        kept = np.flatnonzero((space.counts >= min_count) & (norms != 0.0))
+        self.terms = space.terms[kept]
+        # Every row, as it is or widened to 64-bit once: a query scores the
+        # rows not kept too and drops their scores, which costs less than a
+        # copy of the kept rows would.
+        self.rows = space.context.astype(np.float64, copy=False)
+        # In the space's width, the width they were computed in.
+        self.norms = norms
+        # The row of each of ``terms``; None when every row is kept.
+        self.kept = None if len(kept) == len(norms) else kept
+
+    def unit_rows(self, which) -> np.ndarray:
+        """The rows of ``terms[which]`` at unit length in 64-bit, each
+        divided by its norm: the rows that queries rescore against."""
+        if self.kept is not None:
+            which = self.kept[which]
+        units = self.rows.take(which, axis=0)
+        return np.divide(units, self.norms.take(which)[:, None], out=units)
 
     def query(self, vec: np.ndarray, top_n: int, exclude=()) -> list:
         """``query_many`` for one query vector."""
@@ -503,10 +515,10 @@ class NeighborIndex:
         similarity descending, ties by term ascending, leaving out the terms
         in its entry of ``excludes`` (one collection of terms per query).
 
-        A similarity is ``np.dot(row, q)`` for the term's unit row: one dot
-        product of the pair, whatever the batch, the index's other rows or
-        the BLAS thread count.  The BLAS product over the whole index only
-        preselects the rows that can rank.
+        A similarity is ``np.dot(unit, q)`` for the term's unit row
+        (``unit_rows``): one dot product of the pair, whatever the batch,
+        the index's other rows or the BLAS thread count.  The BLAS product
+        over the whole index only preselects the rows that can rank.
         """
         if top_n < 1:
             raise ConfigError(f"top_n must be >= 1, got {top_n}")
@@ -521,28 +533,43 @@ class NeighborIndex:
         return results
 
     def _query_block(self, queries, top_n: int, excludes) -> list:
-        n_rows, dim = self.matrix.shape
+        n_rows, dim = len(self.terms), self.rows.shape[1]
         if n_rows == 0:
             return [[] for _ in excludes]
-        # Preselect.  Each score of the BLAS product is some sum of the dim
-        # products r_i * q_i, in any order, with or without FMA, so it lies
-        # within gamma * |q| * |r| of the exact dot product (Cauchy-Schwarz),
-        # gamma = dim*u / (1 - dim*u).  The per-pair rescore below obeys the
-        # same bound, so the two differ by at most d = 2 * gamma * |q| * R,
-        # with R >= every |r|.  Let T be the k-th best rescored value.  The
-        # k-th best preselect score is at most T + d, and every row rescored
-        # at T or above (the top k, ties included) has a preselect score of
-        # at least T - d.  So keeping every row within 2d = 4 * gamma * |q| * R
-        # of the k-th best preselect score keeps all of them.  A NaN or
-        # infinite query makes the margin or the threshold NaN, and every row
-        # stays.
+        # Preselect.  For a row r with stored norm n and a query q, let
+        # D = r.q exactly and A = sum |r_i q_i| <= |r| |q|, and let u be the
+        # unit roundoff of 64-bit floats.  A BLAS dot product is some sum
+        # of the dim products, in any order, with or without FMA, so it
+        # lies within gamma * A of D, gamma = dim*u / (1 - dim*u).
+        # - The preselect score is that product times fl(1 / n), rounded:
+        #   two more roundings, so it lies within (gamma + 2u) * A / n of
+        #   D / n, up to terms in u * gamma.
+        # - The rescore is one dot product of q with the unit row, whose
+        #   every component r_i / n is rounded once: it lies within
+        #   (gamma + u) * A / n of D / n.
+        # So the two differ by at most (2 * gamma + 3u) * |q| * R, where R
+        # bounds |r| / n (below), and as dim >= 2 makes gamma >= 2u, by at
+        # most d = 4 * gamma * |q| * R.  Let T be the k-th best rescored
+        # value.  The k-th best preselect score is at most T + d, and every
+        # row rescored at T or above (the top k, ties included) has a
+        # preselect score of at least T - d.  So keeping every row within
+        # 2d = 8 * gamma * |q| * R of the k-th best preselect score keeps
+        # all of them.  The bounds hold while no product underflows or
+        # overflows, as for any space built from counts.  A NaN or infinite
+        # query makes the margin or the threshold NaN, and every row stays.
         u = 2.0**-53
         gamma = dim * u / (1.0 - dim * u)
-        margins = 4.0 * gamma * _ROW_NORM_BOUND * row_norms(queries)
+        margins = 8.0 * gamma * _row_norm_bound(dim, self.norms.dtype) * row_norms(queries)
         # At most len(exclude) of the first top_n + len(exclude) are dropped.
         ks = np.minimum([top_n + len(exclude) for exclude in excludes], n_rows)
-        # One GEMM; numpy makes it a gemv for a single query.
-        scores = queries @ self.matrix.T
+        # One GEMM (numpy makes it a gemv for a single query), the kept
+        # rows' columns, then one scaling in place.
+        scores = queries @ self.rows.T
+        norms = self.norms
+        if self.kept is not None:
+            scores = scores.take(self.kept, axis=1)
+            norms = norms.take(self.kept)
+        scores *= np.divide(1.0, norms, dtype=np.float64)
         # The k-th best score sits at ascending position n_rows - k.
         positions = n_rows - ks
         kth = np.partition(scores, np.unique(positions), axis=1)[
@@ -552,7 +579,7 @@ class NeighborIndex:
         for q, candidates, exclude in zip(queries, keep, excludes):
             rows = np.flatnonzero(candidates)
             # Rescore: one dot product per (row, query) pair.
-            exact = np.vecdot(self.matrix[rows], q)
+            exact = np.vecdot(self.unit_rows(rows), q)
             # Rank: score descending, then term; NaN sorts last.
             terms = self.terms[rows]
             ranked = np.lexsort((terms, -exact))
@@ -564,6 +591,27 @@ class NeighborIndex:
                         break
             results.append(hits)
         return results
+
+
+def _row_norm_bound(dim: int, width) -> float:
+    """A bound R on |r| / n for a row r and its norm n as ``row_norms``
+    computes it in ``width``: a sum of dim squares, then a square root,
+    puts n within (dim/2 + 1) * u_w of |r| relatively (to first order), u_w
+    the width's unit roundoff, and dim * eps = 2 * dim * u_w bounds that.
+    The 2**-20 also covers the roundings in computing |q| and the margin
+    itself."""
+    return 1.0 + 2.0**-20 + dim * float(np.finfo(width).eps)
+
+
+def by_epoch_label(spaces) -> dict:
+    """``{epoch_label: space}`` in the given order; a label given twice is
+    a ConfigError, since the analyses report one row per epoch."""
+    labeled = {}
+    for space in spaces:
+        if space.epoch_label in labeled:
+            raise ConfigError(f"duplicate epoch label {space.epoch_label!r}")
+        labeled[space.epoch_label] = space
+    return labeled
 
 
 def ensure_same_config(spaces) -> SpaceConfig:
@@ -632,10 +680,11 @@ def norm_frequency_series(epoch_spaces, term: str) -> list:
 
     Epochs where the term is absent contribute (label, 0, 0.0).  Under
     near-i.i.d. contexts the squared norm grows linearly with the count,
-    which is what makes the norm a frequency proxy.
+    which is what makes the norm a frequency proxy.  Two spaces with one
+    label are a ConfigError.
     """
     series = []
-    for space in epoch_spaces:
+    for space in by_epoch_label(epoch_spaces).values():
         k = space.row(term)
         if k is None:
             series.append((space.epoch_label, 0, 0.0))

@@ -90,6 +90,20 @@ class TestBuild:
         for name in ("e1.space", "e2.space", "vocabulary.tsv"):
             assert (out / name).read_bytes() == (built / name).read_bytes()
 
+    def test_parallel_build_after_loads_writes_the_sequential_bytes(self, corpus_root, built,
+                                                                    tmp_path):
+        # The loads start the section-reading threads; the build's worker
+        # processes are forked after them.
+        driftspace.load_spaces([built / "e1.space", built / "e2.space"])
+        out = tmp_path / "par"
+        code = cli.main(
+            ["build", "--corpus", str(corpus_root), "--out", str(out), "--workers", "2"]
+            + BUILD_FLAGS
+        )
+        assert code == cli.EXIT_OK
+        for name in ("e1.space", "e2.space", "vocabulary.tsv"):
+            assert (out / name).read_bytes() == (built / name).read_bytes()
+
     def test_parallel_build_matches_sequential(self, corpus_root, built, tmp_path):
         out = tmp_path / "par"
         code = cli.main(
@@ -478,6 +492,22 @@ class TestReportsCommands:
              "--out", str(tmp_path / "run"), "--top-n", top_n]
         )
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command, flag, name", [("trajectory", "--r-size", "r_size"),
+                                                     ("equiv", "--top-k", "top_k")])
+    def test_size_flags_below_one_are_exit_2_named(self, built, total_space, tmp_path, capsys,
+                                                   command, flag, name, value):
+        argv = _analysis_argv(command, built, total_space, tmp_path)
+        code = cli.main(argv + ["--out", str(tmp_path / "run"), flag, value])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got {value}\n"
+
+    def test_normfreq_duplicate_epoch_label_is_exit_2(self, built, tmp_path, capsys):
+        e1 = str(built / "e1.space")
+        code = cli.main(["normfreq", "gizmo", "--spaces", e1, e1, "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: duplicate epoch label 'e1'\n"
 
     def test_drift_report_does_not_depend_on_blas_threads(self, built, tmp_path):
         reports = []

@@ -108,6 +108,12 @@ class TestTrajectory:
         with pytest.raises(ConfigError):
             time_trajectory(total, spaces, "gizmo", top_n=top_n)
 
+    @pytest.mark.parametrize("r_size", [0, -2])
+    def test_r_size_below_one_rejected(self, phase_spaces, r_size):
+        total, spaces = phase_spaces
+        with pytest.raises(ConfigError, match=f"r_size must be >= 1, got {r_size}"):
+            time_trajectory(total, spaces, "gizmo", r_size=r_size)
+
     @pytest.mark.parametrize("width", [np.float64, np.float32])
     def test_similarity_equals_the_epoch_index_score_bitwise(self, phase_spaces, width):
         total, spaces = phase_spaces
@@ -388,6 +394,12 @@ class TestEquivalents:
         sparse = build_space(CFG, "e99", [["once", "met"]])
         report = equivalents(spaces + [sparse], names[-1], "e04", top_k=1, min_count=2)
         assert report.per_epoch["e99"] is None
+
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_top_k_below_one_rejected(self, succession, top_k):
+        spaces, names = succession
+        with pytest.raises(ConfigError, match=f"top_k must be >= 1, got {top_k}"):
+            equivalents(spaces, names[-1], "e04", top_k=top_k)
 
     def test_missing_anchor_epoch(self, succession):
         spaces, names = succession

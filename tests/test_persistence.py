@@ -1,9 +1,12 @@
 """Binary space files: round trips, canonical bytes, corruption detection."""
 
+import io
 import os
 import random
+import signal
 import struct
 import threading
+import time
 import tracemalloc
 import zlib
 
@@ -23,8 +26,10 @@ from driftspace import (
     VersionMismatchError,
     combine,
     load_space,
+    load_spaces,
     save_space,
 )
+from driftspace import persistence
 from driftspace.persistence import FORMAT_VERSION, MAGIC, load_header, write_space_tsv
 
 from helpers import build_space, random_sentences
@@ -464,3 +469,129 @@ class TestFuzz:
         cut = data.draw(st.integers(0, _header_size(head) + 8))
         resume = data.draw(st.integers(0, len(tail)))
         _load_or_format_error(path, head[:cut] + tail[resume:])
+
+
+def _failure(load, *args):
+    """What ``load(*args)`` raises, as (class, message, offsets), or None."""
+    try:
+        load(*args)
+    except SpaceFormatError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "expected", None)
+    return None
+
+
+@st.composite
+def _damaged(draw, first, second):
+    """One file's bytes with the damage of a TestFuzz case."""
+    kind = draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        return first[:draw(st.integers(0, len(first) - 1))]
+    if kind == "flip":
+        damaged = bytearray(first)
+        for bit in draw(st.sets(st.integers(0, 8 * len(first) - 1), min_size=1, max_size=3)):
+            damaged[bit // 8] ^= 1 << (bit % 8)
+        return bytes(damaged)
+    head, tail = draw(st.sampled_from([(first, second), (second, first)]))
+    cut = draw(st.integers(0, _header_size(head) + 8))
+    return head[:cut] + tail[draw(st.integers(0, len(tail))):]
+
+
+class TestLoadSpaces:
+    @pytest.fixture
+    def paths(self, space, tmp_path):
+        config = SpaceConfig(dim=32, window=5, weighting="inverse_log_frequency")
+        weighted = build_space(config, "w", [["a", "b", "a"]], weights={"a": 0.5, "b": 0.25})
+        return [save_space(space, tmp_path / "wide.space"),
+                save_space(space, tmp_path / "narrow.space", float_width=32),
+                save_space(SemanticSpace(CFG, "void"), tmp_path / "empty.space"),
+                save_space(weighted, tmp_path / "weighted.space")]
+
+    def test_equals_one_load_per_file(self, paths):
+        spaces = load_spaces(paths + paths[::-1])
+        singles = [load_space(path) for path in paths + paths[::-1]]
+        assert spaces == singles
+        assert [s.float_dtype for s in spaces] == [s.float_dtype for s in singles]
+        assert [s.float_dtype for s in spaces[:4]] == [np.float64, np.float32, np.float64,
+                                                       np.float64]
+        assert len(spaces[2]) == 0 and spaces[3].config.weighting == "inverse_log_frequency"
+        assert load_spaces([]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damage_in_one_file_of_three_fails_as_that_file_alone(self, images, data):
+        first, second, path, _ = images
+        root = path.parent
+        good = [root / "wide.space", root / "narrow.space"]
+        path.write_bytes(data.draw(_damaged(first, second)))
+        at = data.draw(st.integers(0, 2))
+        paths = good[:at] + [path] + good[at:]
+        alone = _failure(load_space, path)
+        assert _failure(load_spaces, paths) == alone
+        if alone is None:  # a splice can make a whole file
+            assert load_spaces(paths) == [load_space(p) for p in paths]
+
+    def test_the_first_damaged_file_in_argument_order_is_reported(self, images, tmp_path):
+        first, second, _, bounds = images
+        order_crc = bounds["order"][1]
+        late = tmp_path / "late.space"  # found by a pool thread
+        late.write_bytes(_flip_byte(first, order_crc))
+        early = tmp_path / "early.space"  # found while reading the header
+        early.write_bytes(first[:_FIXED - 1])
+        good = tmp_path / "good.space"
+        good.write_bytes(second)
+        missing = tmp_path / "missing.space"
+        assert _failure(load_space, late)[0] is ChecksumError
+        assert _failure(load_spaces, [good, late, early]) == _failure(load_space, late)
+        assert _failure(load_spaces, [early, late]) == _failure(load_space, early)
+        assert _failure(load_spaces, [late, missing]) == _failure(load_space, late)
+        with pytest.raises(FileNotFoundError):
+            load_spaces([good, missing, late])
+        # Within a file, sections fail in file order, as one read after
+        # another would.
+        both = tmp_path / "both.space"
+        both.write_bytes(_flip_byte(_flip_byte(first, bounds["context"][0]), order_crc))
+        for paths in ([good, both], [both, good]):  # read by the caller, then the pool
+            assert _failure(load_spaces, paths)[:2] == (
+                ChecksumError, "checksum mismatch in the context section")
+
+    def test_open_files_stay_within_the_pool_size_plus_one(self, space, tmp_path,
+                                                          monkeypatch):
+        paths = [save_space(space, tmp_path / f"{k:02d}.space") for k in range(20)]
+        opened = {"now": 0, "peak": 0}
+
+        class Counted(io.FileIO):
+            def __init__(self, path, mode="r", buffering=-1):
+                super().__init__(path, mode)
+                opened["now"] += 1
+                opened["peak"] = max(opened["peak"], opened["now"])
+
+            def close(self):
+                if not self.closed:
+                    opened["now"] -= 1
+                super().close()
+
+        def slow_section(*args):
+            time.sleep(0.005)  # so that files wait for the pool
+            return read_section(*args)
+
+        read_section = persistence._read_section
+        monkeypatch.setattr(persistence, "open", Counted, raising=False)
+        monkeypatch.setattr(persistence, "_read_section", slow_section)
+        assert load_spaces(paths) == [space] * 20
+        threads = persistence._section_pool()[1]
+        assert opened == {"now": 0, "peak": threads + 1}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_child_forked_after_a_load_loads_again(self, space, tmp_path):
+        path = save_space(space, tmp_path / "a.space")
+        assert load_spaces([path, path]) == [space, space]  # the pool is running
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports through its exit code
+            code = 2
+            try:
+                signal.alarm(60)  # the parent's pool threads do not exist here
+                code = 0 if load_spaces([path, path]) == [space, space] else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -373,9 +373,16 @@ class TestNeighbors:
 
 
 
+def _units(index):
+    """The row of each of ``index.terms`` divided by its norm in 64-bit:
+    the unit rows that similarities are defined on."""
+    kept = np.arange(len(index.rows)) if index.kept is None else index.kept
+    return np.divide(index.rows[kept], index.norms[kept, None], dtype=np.float64)
+
+
 def _full_sort_query(index, vec, top_n, exclude):
     """NeighborIndex.query by a full lexsort of every row: the reference."""
-    sims = index.matrix @ np.asarray(vec, dtype=np.float64)
+    sims = _units(index) @ np.asarray(vec, dtype=np.float64)
     out = []
     for i in np.lexsort((index.terms, -sims)):
         if str(index.terms[i]) not in exclude:
@@ -385,7 +392,7 @@ def _full_sort_query(index, vec, top_n, exclude):
 
 def _per_pair_full_sort(index, q, top_n, exclude):
     """A query's hits by a full lexsort of one dot product per row."""
-    sims = np.vecdot(index.matrix, np.asarray(q, dtype=np.float64))
+    sims = np.vecdot(_units(index), np.asarray(q, dtype=np.float64))
     out = [(str(index.terms[i]), float(sims[i])) for i in np.lexsort((index.terms, -sims))
            if str(index.terms[i]) not in exclude]
     return out[:top_n]
@@ -418,9 +425,9 @@ def _query_cases(draw):
     queries = []
     for kind in draw(st.lists(st.sampled_from(["row", "raw", "scaled", "zero", "nan"]),
                               min_size=1, max_size=8)):
-        if kind in ("row", "raw") and len(index.matrix):
-            k = draw(st.integers(0, len(index.matrix) - 1))
-            q = index.matrix[k] if kind == "row" else rows[k].astype(np.float64)
+        if kind in ("row", "raw") and len(index.terms):
+            k = draw(st.integers(0, len(index.terms) - 1))
+            q = _units(index)[k] if kind == "row" else rows[k].astype(np.float64)
         elif kind == "zero":
             q = np.zeros(dim)
         elif kind == "nan":
@@ -454,17 +461,19 @@ class TestNeighborIndex:
                     terms.append(term)
                     rows.append(np.divide(vec, norm, dtype=np.float64))
             assert index.terms.tolist() == terms
-            assert index.matrix.tobytes() == np.vstack(rows).tobytes()
+            units = index.unit_rows(np.arange(len(index.terms)))
+            assert units.tobytes() == np.vstack(rows).tobytes()
 
     def test_index_is_cached_until_the_space_changes(self):
         space = build_space(SMALL, "e", [["a", "b", "c"], ["b", "d"]])
         index = space.neighbor_index()
         assert space.neighbor_index() is index
         assert space.neighbor_index(min_count=2) is not index
+        units = _units(index)
         space.ingest_sentence(["d", "a"])  # known terms: the rows change in place
         fresh = space.neighbor_index()
         assert fresh is not index
-        assert not np.array_equal(fresh.matrix, index.matrix)
+        assert not np.array_equal(_units(fresh), units)
         space.ingest_sentence(["e", "a"])
         assert "e" in set(space.neighbor_index().terms)
         fresh = space.neighbor_index()
@@ -486,9 +495,37 @@ class TestNeighborIndex:
         # rows plant exact ties, broken by term.
         index = NeighborIndex.__new__(NeighborIndex)
         index.terms = np.array([f"t{i:02d}" for i in range(len(rows))][::-1])
-        index.matrix = np.array(rows, dtype=np.float64)
+        index.rows = np.array(rows, dtype=np.float64)
+        index.norms = np.ones(len(rows))
+        index.kept = None
         exclude = {f"t{i:02d}" for i in excluded}
         assert index.query(vec, top_n, exclude) == _full_sort_query(index, vec, top_n, exclude)
+
+    @pytest.mark.parametrize("width", [np.float64, np.float32])
+    def test_index_holds_no_normalized_copy(self, width):
+        space = build_space(SMALL, "e", [["a", "b", "c"], ["b", "d"], ["solo"]])
+        space.set_rows(space.terms, space.counts, space.context.astype(width),
+                       space.order.astype(width))
+        index = NeighborIndex(space)
+        assert "solo" not in set(index.terms)
+        assert index.rows.dtype == np.float64 and index.norms.dtype == width
+        # A 64-bit space's matrix is shared, even with a row left out.
+        assert np.shares_memory(index.rows, space.context) == (width == np.float64)
+
+    def test_query_keeps_a_tie_whose_preselect_scores_differ_most(self):
+        # Two rows with one unit vector, so one rescored similarity, found
+        # by a search for the widest gap between their preselect scores
+        # (3.2 * gamma * |q| under OpenBLAS on x86-64).  The tie goes to
+        # t00 by term, although t00 has the lower preselect score.
+        rows = np.array([[0.08646054491484068, 2.124102849308746],
+                         [0.1321747990982927, 3.247179018453115]])
+        q = np.array([0.05051174587784293, 1.2409376259236262])
+        space = SemanticSpace.empty(SpaceConfig(dim=2, window=3, order_span=1), "e")
+        space.set_rows(np.array(["t00", "t01"]), np.ones(2, dtype=np.int64), rows, rows.copy())
+        index = NeighborIndex(space)
+        want = _per_pair_full_sort(index, q, 1, ())
+        assert want[0][0] == "t00"
+        assert index.query(q, 1) == want
 
     @settings(max_examples=300, deadline=None)
     @given(case=_query_cases())
@@ -660,6 +697,11 @@ class TestNormFrequency:
         ]
         series = norm_frequency_series(spaces, "probe")
         assert series[1] == ("e2", 0, 0.0)
+
+    def test_duplicate_epoch_labels_rejected(self):
+        space = build_space(SMALL, "e1", [["probe", "ctxw"]])
+        with pytest.raises(ConfigError, match="duplicate epoch label 'e1'"):
+            norm_frequency_series([space, space], "probe")
 
 
 class TestPickling:
