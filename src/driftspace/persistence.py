@@ -38,6 +38,8 @@ term) are refused with VersionMismatchError.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import mmap
 import os
 import secrets
 import struct
@@ -163,11 +165,39 @@ def _read_at(fd: int, buffer, offset: int, what: str):
     return buffer
 
 
+# The pages behind a section's array are dropped before the read fills it,
+# so that the read faults in fresh pages every time.  An array from malloc
+# may or may not sit on pages the process has touched before, depending on
+# what it allocated and freed until then; that made loads up to twice as
+# fast in one process as in the next.  Dropping keeps the array in malloc's
+# heap, which the rest of the program reuses; a mapping of its own per
+# section raised peak RSS.
+try:
+    _madvise = ctypes.CDLL(None, use_errno=True).madvise
+    _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    _MADV_DONTNEED = mmap.MADV_DONTNEED
+    _PAGE = mmap.PAGESIZE
+except (AttributeError, OSError):  # no madvise here: nothing is dropped
+    _madvise = None
+
+
+def _drop_pages(data: np.ndarray) -> None:
+    """Give back the whole pages inside ``data``'s buffer; they read as
+    zeros until written."""
+    if _madvise is None:
+        return
+    start = -(-data.ctypes.data // _PAGE) * _PAGE
+    end = (data.ctypes.data + data.nbytes) // _PAGE * _PAGE
+    if end > start:
+        _madvise(start, end - start, _MADV_DONTNEED)
+
+
 def _read_section(fd: int, array: np.ndarray, offset: int, what: str) -> np.ndarray:
     """Fill ``array`` from the section at ``offset`` and check it against
     the CRC-32 stored after it.  ``preadv`` and ``crc32`` release the GIL,
     so pool threads read sections side by side."""
     data = _raw_bytes(array)
+    _drop_pages(data)
     _read_at(fd, data, offset, f"{what} section")
     checksum = _read_at(fd, bytearray(_U32.size), offset + data.size, f"{what} checksum")
     if zlib.crc32(data) != _U32.unpack(checksum)[0]:

@@ -1,6 +1,7 @@
 """Binary space files: round trips, canonical bytes, corruption detection."""
 
 import io
+import mmap
 import os
 import random
 import signal
@@ -505,6 +506,27 @@ class TestLoadSpaces:
                 save_space(space, tmp_path / "narrow.space", float_width=32),
                 save_space(SemanticSpace(CFG, "void"), tmp_path / "empty.space"),
                 save_space(weighted, tmp_path / "weighted.space")]
+
+    def test_loaded_matrices_are_writable_arrays_of_their_own(self, paths):
+        spaces = load_spaces(paths)
+        again = [load_space(path) for path in paths]
+        for space, other in zip(spaces, again):
+            for matrix, same in ((space.context, other.context), (space.order, other.order)):
+                assert matrix.flags.writeable
+                matrix += 1.0  # as a fold adds into a loaded space
+                np.testing.assert_array_equal(matrix, same + 1.0)
+        assert load_spaces(paths) == again  # no load shares another's matrices
+
+    def test_dropped_pages_stay_inside_the_buffer(self):
+        block = np.full(5 * mmap.PAGESIZE, 7, dtype=np.uint8)
+        inner = block[100:-100]
+        persistence._drop_pages(inner)
+        assert np.all(block[:100] == 7) and np.all(block[-100:] == 7)
+        if persistence._madvise is not None:
+            assert np.count_nonzero(inner == 0) >= 3 * mmap.PAGESIZE
+        tiny = np.full(10, 7, dtype=np.uint8)
+        persistence._drop_pages(tiny)
+        assert np.all(tiny == 7)
 
     def test_equals_one_load_per_file(self, paths):
         spaces = load_spaces(paths + paths[::-1])
