@@ -364,8 +364,14 @@ def cmd_combine(ns: argparse.Namespace) -> int:
 
 
 def cmd_trajectory(ns: argparse.Namespace) -> int:
-    total, *epochs = persistence.load_spaces([ns.total, *ns.spaces])
+    total = persistence.load_space(ns.total)
     extra = _read_terms_file(ns.extra_terms) if ns.extra_terms else ()
+    # The flags are checked before the query that picks the representatives;
+    # the epochs are then loaded with only the rows the report reads.
+    if ns.top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {ns.top_n}")
+    chosen = diachronic.representatives(total, ns.term, ns.r_size, ns.min_count, extra)
+    epochs = persistence.load_spaces(ns.spaces, terms=[ns.term, *chosen])
     report = diachronic.time_trajectory(
         total,
         epochs,
@@ -394,10 +400,10 @@ def cmd_drift(ns: argparse.Namespace) -> int:
 
 
 def cmd_bias(ns: argparse.Namespace) -> int:
-    epochs = persistence.load_spaces(ns.spaces)
     qualifiers = _read_terms_file(ns.qualifiers)
     man_terms = _read_terms_file(ns.man_terms)
     woman_terms = _read_terms_file(ns.woman_terms)
+    epochs = persistence.load_spaces(ns.spaces, terms=qualifiers + man_terms + woman_terms)
     period = None
     if ns.period:
         labels = sorted(space.epoch_label for space in epochs)
@@ -461,7 +467,8 @@ def cmd_neighbors(ns: argparse.Namespace) -> int:
 
 
 def cmd_normfreq(ns: argparse.Namespace) -> int:
-    epochs = sorted(persistence.load_spaces(ns.spaces), key=lambda space: space.epoch_label)
+    epochs = sorted(persistence.load_spaces(ns.spaces, terms=[ns.term]),
+                    key=lambda space: space.epoch_label)
     series = norm_frequency_series(epochs, ns.term)
     rows = [[label, count, squared] for label, count, squared in series]
     report = reports.TableReport(

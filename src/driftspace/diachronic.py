@@ -74,6 +74,19 @@ def _labeled_spaces(epoch_spaces) -> dict:
     return spaces
 
 
+def representatives(total: SemanticSpace, term: str, r_size: int = 200, min_count: int = 1,
+                    extra_terms=()) -> list:
+    """The terms ``time_trajectory`` tracks for ``term``: its top ``r_size``
+    neighbors in ``total`` with at least ``min_count`` occurrences, self
+    excluded, then those of ``extra_terms`` not already among them."""
+    if r_size < 1:
+        raise ConfigError(f"r_size must be >= 1, got {r_size}")
+    anchor = total.term_vector(term, normalized=True)
+    ranked = total.nearest_neighbors(anchor, r_size, min_count=min_count, exclude={term})
+    chosen = [t for t, _ in ranked]
+    return list(dict.fromkeys(chosen + [t for t in extra_terms if t != term]))
+
+
 def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int = 200,
                     top_n: int = 5, min_count: int = 1, extra_terms=()) -> TrajectoryReport:
     """Track which representative neighbors a term is closest to per epoch.
@@ -81,36 +94,30 @@ def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int =
     The anchor vector is the term's normalized context vector in ``total``
     (the combination of all epochs); the representative set is the term's
     top ``r_size`` neighbors there, self excluded, optionally extended with
-    caller-supplied terms.  Each epoch then ranks the representatives that
-    are present with nonzero vectors by cosine against the anchor, keeping
-    ``top_n``.  Comparing slice vectors against a combined-space vector is
-    sound because the spaces add linearly.
+    caller-supplied terms (``representatives``).  Each epoch then ranks the
+    representatives that are present with nonzero vectors by cosine
+    against the anchor, keeping ``top_n``.  Comparing slice vectors against
+    a combined-space vector is sound because the spaces add linearly.  The
+    epoch spaces need hold only the rows of the term and its
+    representatives.
     """
-    if r_size < 1:
-        raise ConfigError(f"r_size must be >= 1, got {r_size}")
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
+    chosen = representatives(total, term, r_size, min_count, extra_terms)
     spaces = _labeled_spaces(epoch_spaces)
     ensure_same_config([total, *spaces.values()])
     anchor = total.term_vector(term, normalized=True).astype(np.float64, copy=False)
-    ranked = total.nearest_neighbors(anchor, r_size, min_count=min_count, exclude={term})
-    representatives = [t for t, _ in ranked]
-    seen = set(representatives)
-    for extra in extra_terms:
-        if extra != term and extra not in seen:
-            representatives.append(extra)
-            seen.add(extra)
 
     per_epoch = {}
     per_epoch_count = {}
     for label in sorted(spaces):
         space = spaces[label]
-        present, units = _unit_rows(space, representatives)
+        present, units = _unit_rows(space, chosen)
         # One dot product per pair, as NeighborIndex.query scores it.
         sims = np.vecdot(units, anchor)
         per_epoch[label] = top_ranked(sims, np.array(present, dtype=str), top_n)
         per_epoch_count[label] = space.count(term)
-    return TrajectoryReport(term, representatives, per_epoch, per_epoch_count)
+    return TrajectoryReport(term, chosen, per_epoch, per_epoch_count)
 
 
 def _drift_category(sigma01: float, thresholds) -> str:

@@ -31,8 +31,11 @@ The header fixes the size of every section but the term bytes, whose size
 the checked term lengths fix, so a load checks the whole layout against the
 file size before it allocates an array, then reads each section straight
 into its array; the two matrix sections are read and checked in pool
-threads (``load_spaces``).  Version 1 files (one checksummed record per
-term) are refused with VersionMismatchError.
+threads (``load_spaces``).  ``load_spaces(paths, terms)`` keeps only the
+rows of ``terms``: it streams the matrix sections through a reused buffer
+per thread, checks every byte against the CRCs all the same, and copies
+out only the kept rows.  Version 1 files (one checksummed record per term)
+are refused with VersionMismatchError.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ _LENGTH = np.dtype("<u4")
 _COUNT = np.dtype("<i8")
 
 _IO_BUFFER = 1 << 20
+# A restricted load streams a matrix section in chunks of whole rows of at
+# most this many bytes (one row, if a row is longer).
+_CHUNK = 1 << 20
 
 
 def _raw_bytes(array: np.ndarray) -> np.ndarray:
@@ -152,15 +158,17 @@ def _image(space: SemanticSpace, float_width: int):
         yield _U32.pack(zlib.crc32(data))
 
 
-def _read_at(fd: int, buffer, offset: int, what: str):
+def _read_at(fd: int, buffer, offset: int, what: str, expected: int | None = None):
     """Fill the writable ``buffer`` from the file at ``offset``.  A read
-    short of it means the file shrank after its size was taken."""
+    short of it means the file shrank after its size was taken; the error
+    names ``expected`` (by default the buffer's end) as the offset needed."""
     view = memoryview(buffer)
     done = 0
     while done < len(view):
         got = os.preadv(fd, [view[done:]], offset + done)
         if not got:
-            raise TruncatedFileError(offset + done, offset + len(view), what)
+            end = offset + len(view) if expected is None else expected
+            raise TruncatedFileError(offset + done, end, what)
         done += got
     return buffer
 
@@ -192,17 +200,51 @@ def _drop_pages(data: np.ndarray) -> None:
         _madvise(start, end - start, _MADV_DONTNEED)
 
 
-def _read_section(fd: int, array: np.ndarray, offset: int, what: str) -> np.ndarray:
+def _read_section(fd: int, array: np.ndarray, offset: int, what: str,
+                  keep: np.ndarray | None = None) -> np.ndarray:
     """Fill ``array`` from the section at ``offset`` and check it against
-    the CRC-32 stored after it.  ``preadv`` and ``crc32`` release the GIL,
-    so pool threads read sections side by side."""
-    data = _raw_bytes(array)
-    _drop_pages(data)
-    _read_at(fd, data, offset, f"{what} section")
-    checksum = _read_at(fd, bytearray(_U32.size), offset + data.size, f"{what} checksum")
-    if zlib.crc32(data) != _U32.unpack(checksum)[0]:
+    the CRC-32 stored after it.  With ``keep``, a boolean mask over the
+    section's rows, ``array`` receives only the rows it marks, while every
+    byte of the section still goes through the CRC.  ``preadv`` and
+    ``crc32`` release the GIL, so pool threads read sections side by side."""
+    if keep is None:
+        data = _raw_bytes(array)
+        _drop_pages(data)
+        _read_at(fd, data, offset, f"{what} section")
+        crc, end = zlib.crc32(data), offset + data.size
+    else:
+        crc, end = _stream_rows(fd, array, offset, what, keep)
+    checksum = _read_at(fd, bytearray(_U32.size), end, f"{what} checksum")
+    if crc != _U32.unpack(checksum)[0]:
         raise ChecksumError(f"checksum mismatch in the {what} section")
     return array
+
+
+_buffers = threading.local()
+
+
+def _stream_rows(fd: int, out: np.ndarray, offset: int, what: str, keep: np.ndarray):
+    """``(crc, end)`` of the section at ``offset`` with ``len(keep)`` rows,
+    read in chunks of whole rows into the calling thread's buffer, from
+    which the rows ``keep`` marks are copied into ``out``.  Rows left out
+    are never allocated, and the buffer's pages, once touched, are reused
+    by every later chunk."""
+    row_bytes = out.shape[1] * out.itemsize
+    step = max(1, _CHUNK // row_bytes)
+    buffer = getattr(_buffers, "chunk", None)
+    if buffer is None or buffer.size < step * row_bytes:
+        buffer = _buffers.chunk = np.empty(step * row_bytes, dtype=np.uint8)
+    end = offset + len(keep) * row_bytes
+    crc, done = 0, 0
+    for first in range(0, len(keep), step):
+        rows = keep[first:first + step]
+        chunk = buffer[:len(rows) * row_bytes]
+        _read_at(fd, chunk, offset + first * row_bytes, f"{what} section", expected=end)
+        crc = zlib.crc32(chunk, crc)
+        kept = chunk.view(out.dtype).reshape(len(rows), -1)[rows]
+        out[done:done + len(kept)] = kept
+        done += len(kept)
+    return crc, end
 
 
 class _Reader:
@@ -255,7 +297,7 @@ def load_space(path) -> SemanticSpace:
     return load_spaces([path])[0]
 
 
-def load_spaces(paths) -> list:
+def load_spaces(paths, terms=None) -> list:
     """``[load_space(path) for path in paths]``, with the files' matrix
     sections read and checked on every core.
 
@@ -267,16 +309,25 @@ def load_spaces(paths) -> list:
     more than the pool has threads is open at a time.  Errors are those of
     sequential loads: the first damaged file in argument order raises, as
     ``load_space`` would on it alone.
+
+    With ``terms``, each space keeps only the rows of those of ``terms``
+    its file holds (sorted terms, counts, context and order rows); its
+    label, config and ``ingested_tokens`` are the file's.  Every section is
+    still read in full and checked, so the errors are those of a full
+    load, but the rows left out are never allocated.  Such a space answers
+    only for its own rows: a neighbor query over it ranks only them.
     """
     pool, threads = _section_pool()
     paths = list(paths)
+    if terms is not None:
+        terms = np.array(list(terms), dtype=str)
     spaces, pending = [], deque()
     try:
         for k, path in enumerate(paths):
             while len(pending) > threads:
                 spaces.append(pending.popleft().finish())
             try:
-                pending.append(_Load(path, pool, last=k == len(paths) - 1))
+                pending.append(_Load(path, pool, last=k == len(paths) - 1, terms=terms))
             except Exception:
                 # Damage in an earlier file is reported first, as it would
                 # be were the files loaded one after another.
@@ -296,9 +347,10 @@ class _Load:
     checked, its matrix sections being read by the pool, except the
     context section of the ``last`` file, which ``finish`` reads.  Every
     section comes through the one descriptor whose header was checked, so
-    a file renamed over the path meanwhile cannot be mixed in."""
+    a file renamed over the path meanwhile cannot be mixed in.  With
+    ``terms`` (an array), only their rows are kept."""
 
-    def __init__(self, path, pool: ThreadPoolExecutor, last: bool):
+    def __init__(self, path, pool: ThreadPoolExecutor, last: bool, terms=None):
         self.file = open(path, "rb", buffering=0)
         self.reads = []
         self.own_read = None
@@ -306,25 +358,36 @@ class _Load:
             reader = _Reader(self.file.fileno())
             self.space, dtype, table = _read_header(reader)
             term_count = len(table[0])
-            shape = (term_count, self.space.config.dim)
+            dim = self.space.config.dim
+            keep = None
+            if terms is not None:
+                # The rows to keep depend on the decoded terms, so a
+                # restricted load decodes them before its reads start.
+                self.terms = _decode_terms(*table)
+                keep = np.isin(self.terms, terms)
+                self.terms = self.terms[keep]
+            rows = term_count if keep is None else len(self.terms)
             # The layout is checked, so the matrix sections are known to
             # follow the counts section.
             offset = reader.offset + term_count * _COUNT.itemsize + _U32.size
             for what in ("context", "order"):
                 # Allocated here, not in the pool threads: that kept peak
                 # RSS lower.
-                array = np.empty(shape, dtype=dtype)
+                read = (reader.fd, np.empty((rows, dim), dtype=dtype), offset, what, keep)
                 if last and what == "context":
-                    self.own_read = (reader.fd, array, offset, what)
+                    self.own_read = read
                 else:
-                    self.reads.append(pool.submit(_read_section, reader.fd, array, offset, what))
-                offset += array.nbytes + _U32.size
+                    self.reads.append(pool.submit(_read_section, *read))
+                offset += term_count * dim * dtype.itemsize + _U32.size
             # Meanwhile, the checks of what precedes them in the file, in
             # file order.
-            self.terms = _decode_terms(*table)
+            if terms is None:
+                self.terms = _decode_terms(*table)
             self.counts = reader.section(np.empty(term_count, dtype=_COUNT), "counts")
             if term_count and self.counts.min() < 0:
                 raise SpaceFormatError("a stored count exceeds 2**63 - 1")
+            if keep is not None:
+                self.counts = self.counts[keep]
         except BaseException:
             self.abandon()
             raise

@@ -34,6 +34,25 @@ def assert_spaces_close(a, b, rtol=RTOL, atol=ATOL):
     np.testing.assert_allclose(a.order, b.order, rtol=rtol, atol=atol)
 
 
+def cut_to_terms(space, terms):
+    """A copy of ``space`` holding only the rows of those of ``terms`` it
+    holds, with its label, config and token total."""
+    keep = np.isin(space.terms, np.array(list(terms), dtype=str))
+    cut = SemanticSpace.empty(space.config, space.epoch_label, float_dtype=space.float_dtype)
+    cut.ingested_tokens = space.ingested_tokens
+    cut.set_rows(space.terms[keep], space.counts[keep], space.context[keep], space.order[keep])
+    return cut
+
+
+def assert_spaces_identical(a, b):
+    """Equal spaces whose arrays also have equal dtypes and bytes."""
+    assert a == b
+    for name in ("terms", "counts", "context", "order"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
 def random_sentences(rng, vocab, n_sentences, min_len=2, max_len=9):
     return [
         [rng.choice(vocab) for _ in range(rng.randint(min_len, max_len))]

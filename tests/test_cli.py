@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import driftspace
-from driftspace import SpaceConfig, cli, load_space
+from driftspace import SpaceConfig, cli, diachronic, load_space, load_spaces, persistence, reports
 from driftspace.corpus import build_filter, count_vocabulary, filtered_stream, read_documents
-from driftspace.space import inverse_log_weights
+from driftspace.space import inverse_log_weights, norm_frequency_series
 
 from helpers import (
     assert_spaces_close,
@@ -727,6 +727,89 @@ class TestJsonReportBytes:
         assert proc.stderr == f"report written to {out / 'report.json'}\n"
         assert (out / "report.json").read_bytes() == rendered
         assert (out / "config.txt").exists()
+
+
+def _damaged_copy(path, tmp_path):
+    """A copy of the space file at ``path`` with a flipped byte in its order
+    section's last row."""
+    data = bytearray(path.read_bytes())
+    data[-5] ^= 0xFF
+    copy = tmp_path / f"damaged-{path.name}"
+    copy.write_bytes(bytes(data))
+    return copy
+
+
+class TestRestrictedLoads:
+    """``bias``, ``trajectory`` and ``normfreq`` load only the rows they read."""
+
+    @staticmethod
+    def _library_report(command, built, total_space):
+        epochs = load_spaces([built / "e2.space", built / "e1.space"])
+        if command == "bias":
+            return diachronic.qualifier_gender(epochs, ["mango", "router"], ["papaya", "guava"],
+                                               ["modem", "server"])
+        if command == "trajectory":
+            return diachronic.time_trajectory(load_space(total_space), epochs, "gizmo", r_size=3,
+                                              extra_terms=["mango", "absent", "gizmo", "modem"])
+        rows = [list(row) for row in norm_frequency_series(epochs[::-1], "gizmo")]
+        return reports.TableReport("count and squared context norm of 'gizmo' per epoch",
+                                   ["epoch", "count", "squared_norm"], rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+    @pytest.mark.parametrize("command", ["bias", "trajectory", "normfreq"])
+    def test_report_is_the_library_report_on_full_loads(self, command, fmt, built, total_space,
+                                                        tmp_path, capsys, monkeypatch):
+        expected = reports.render(self._library_report(command, built, total_space), fmt)
+        loaded = []
+
+        def spy(paths, terms=None):
+            spaces = load_spaces(paths, terms)
+            if terms is not None:  # not trajectory's load of --total
+                loaded.extend((load_spaces([p])[0], space) for p, space in zip(paths, spaces))
+            return spaces
+
+        monkeypatch.setattr(persistence, "load_spaces", spy)
+        argv = _analysis_argv(command, built, total_space, tmp_path)
+        if command == "trajectory":
+            extra = tmp_path / "extra.txt"
+            extra.write_text("mango\nabsent\ngizmo\nmodem\n", encoding="utf-8")
+            argv = argv[:-2] + ["--r-size", "3", "--extra-terms", str(extra)]
+        out = tmp_path / "run"
+        assert cli.main(argv + ["--out", str(out), "--format", fmt]) == cli.EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert sorted(out.glob("report.*"))[0].read_text(encoding="utf-8") == expected
+        # Both epochs were loaded, each with only some of its file's rows.
+        assert len(loaded) == 2
+        assert all(0 < len(space) < len(full) for full, space in loaded)
+
+    def test_bias_reads_its_terms_files_before_the_spaces(self, built, tmp_path, capsys):
+        argv = _analysis_argv("bias", built, None, tmp_path)
+        argv[2] = str(_damaged_copy(built / "e1.space", tmp_path))
+        qualifiers = tmp_path / "qualifiers.txt"
+        qualifiers.write_text("mango\nu.s.\n", encoding="utf-8")
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+        assert f"{qualifiers}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--r-size", "0"], cli.EXIT_CONFIG),
+        (["--top-n", "0"], cli.EXIT_CONFIG),
+        ([], cli.EXIT_NOT_FOUND),
+    ])
+    def test_trajectory_checks_flags_and_term_before_opening_the_epochs(
+            self, built, total_space, tmp_path, capsys, flags, code):
+        damaged = _damaged_copy(built / "e1.space", tmp_path)
+        for epochs in ([damaged], [tmp_path / "missing.space"]):
+            argv = ["trajectory", "nonesuch", "--total", str(total_space),
+                    "--spaces", *map(str, epochs), "--out", str(tmp_path / "run"), *flags]
+            assert cli.main(argv) == code
+            err = capsys.readouterr().err
+            assert ("must be >= 1" in err) == bool(flags)
+            assert ("term not found: 'nonesuch'" in err) == (not flags)
+        # A known term goes on to the epochs, and their damage is reported.
+        argv = ["trajectory", "gizmo", "--total", str(total_space), "--spaces", str(damaged),
+                "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_MISSING
+        assert "checksum mismatch in the order section" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -24,7 +24,7 @@ from driftspace import (
     time_trajectory,
 )
 from driftspace import space as space_module
-from driftspace.diachronic import DRIFT_CATEGORIES, DRIFT_THRESHOLDS
+from driftspace.diachronic import DRIFT_CATEGORIES, DRIFT_THRESHOLDS, representatives
 from driftspace.vectors import apply_permutation
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     TECH,
     WOMAN_TERMS,
     build_space,
+    cut_to_terms,
     drift_gradient_periods,
     gendered_years,
     random_sentences,
@@ -113,6 +114,30 @@ class TestTrajectory:
         total, spaces = phase_spaces
         with pytest.raises(ConfigError, match=f"r_size must be >= 1, got {r_size}"):
             time_trajectory(total, spaces, "gizmo", r_size=r_size)
+
+    def test_representatives_are_the_reported_set(self, phase_spaces):
+        total, spaces = phase_spaces
+        extra = ["fill000", "gizmo", "absent", "fill000"]
+        chosen = representatives(total, "gizmo", 5, 2, extra)
+        report = time_trajectory(total, spaces, "gizmo", r_size=5, min_count=2, extra_terms=extra)
+        assert chosen == report.representative_set
+        assert chosen[-1] == "absent" and chosen.count("fill000") == 1 and "gizmo" not in chosen
+
+    def test_epochs_cut_to_the_term_and_representatives_give_the_same_report(self,
+                                                                             phase_spaces):
+        total, spaces = phase_spaces
+        chosen = representatives(total, "gizmo", 8, extra_terms=["fill001"])
+        cut = [cut_to_terms(space, ["gizmo", *chosen]) for space in spaces]
+        assert all(len(c) < len(s) for c, s in zip(cut, spaces))
+        kwargs = dict(r_size=8, top_n=4, extra_terms=["fill001"])
+        assert time_trajectory(total, cut, "gizmo", **kwargs) == \
+            time_trajectory(total, spaces, "gizmo", **kwargs)
+
+    @pytest.mark.parametrize("r_size", [0, -2])
+    def test_representatives_check_r_size_before_the_query(self, phase_spaces, r_size):
+        total, _ = phase_spaces
+        with pytest.raises(ConfigError, match=f"r_size must be >= 1, got {r_size}"):
+            representatives(total, "nonesuch", r_size)
 
     @pytest.mark.parametrize("width", [np.float64, np.float32])
     def test_similarity_equals_the_epoch_index_score_bitwise(self, phase_spaces, width):

@@ -6,10 +6,12 @@ import os
 import random
 import signal
 import struct
+import sys
 import threading
 import time
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from driftspace import (
 from driftspace import persistence
 from driftspace.persistence import FORMAT_VERSION, MAGIC, load_header, write_space_tsv
 
-from helpers import build_space, random_sentences
+from helpers import assert_spaces_identical, build_space, cut_to_terms, random_sentences
 
 CFG = SpaceConfig(dim=32, window=5, order_span=2, global_seed=3, perm_seed=4)
 _FIXED = struct.calcsize("<8sIIIIQQBBBB")
@@ -497,6 +499,10 @@ def _damaged(draw, first, second):
     return head[:cut] + tail[draw(st.integers(0, len(tail))):]
 
 
+# Terms of the fuzzed images, and two that neither holds.
+_FUZZ_TERMS = ["a", "bé", "c", "dd", "x", "yy", "absent", "zz"]
+
+
 class TestLoadSpaces:
     @pytest.fixture
     def paths(self, space, tmp_path):
@@ -547,10 +553,66 @@ class TestLoadSpaces:
         path.write_bytes(data.draw(_damaged(first, second)))
         at = data.draw(st.integers(0, 2))
         paths = good[:at] + [path] + good[at:]
+        # No terms, an empty list, absent terms, some or all of the files'
+        # terms; rows streamed one at a time, a few at a time or in one chunk.
+        terms = data.draw(st.none() | st.lists(st.sampled_from(_FUZZ_TERMS)))
+        chunk = data.draw(st.sampled_from([1, 100, persistence._CHUNK]))
         alone = _failure(load_space, path)
-        assert _failure(load_spaces, paths) == alone
-        if alone is None:  # a splice can make a whole file
-            assert load_spaces(paths) == [load_space(p) for p in paths]
+        with mock.patch.object(persistence, "_CHUNK", chunk):
+            assert _failure(load_spaces, paths, terms) == alone
+            if alone is None:  # a splice can make a whole file
+                loaded = load_spaces(paths, terms)
+        if alone is None:
+            for space, p in zip(loaded, paths):
+                full = load_space(p)
+                assert_spaces_identical(space, full if terms is None else cut_to_terms(full, terms))
+
+    @pytest.mark.parametrize("section", ["context", "order"])
+    def test_a_restricted_load_checks_the_rows_it_leaves_out(self, images, tmp_path, section):
+        first, _, _, bounds = images
+        # The wide image's terms are a, bé, c, dd: flip a byte of the last row.
+        path = tmp_path / "flipped.space"
+        path.write_bytes(_flip_byte(first, bounds[section][1] - 1))
+        alone = _failure(load_space, path)
+        assert alone[:2] == (ChecksumError, f"checksum mismatch in the {section} section")
+        for terms in ([], ["a"], ["a", "absent"]):
+            assert _failure(load_spaces, [path], terms) == alone
+
+    @pytest.mark.parametrize("terms", [[], ["absent"], ["v03", "naïve", "a", "absent"], None])
+    def test_a_restricted_load_is_the_full_load_cut_to_its_terms(self, paths, terms,
+                                                                monkeypatch):
+        terms = load_space(paths[0]).terms.tolist() if terms is None else terms
+        monkeypatch.setattr(persistence, "_CHUNK", 3 * 32 * 8)  # several chunks per section
+        spaces = load_spaces(paths, terms)
+        for space, path in zip(spaces, paths):
+            assert_spaces_identical(space, cut_to_terms(load_space(path), terms))
+
+    def test_threads_loading_at_once_get_equal_spaces(self, paths, monkeypatch):
+        monkeypatch.setattr(persistence, "_CHUNK", 1)  # one row per chunk
+        terms = ["v01", "v02", "naïve", "a"]
+        expected = [cut_to_terms(load_space(p), terms) for p in paths * 3]
+        results, start = {}, threading.Barrier(4, timeout=60)
+
+        def load(k):
+            start.wait()
+            results[k] = [load_spaces(paths * 3, terms) for _ in range(20)]
+
+        threads = [threading.Thread(target=load, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads switch between every few chunks
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for loads in results.values():
+            for spaces in loads:
+                for space, other in zip(spaces, expected):
+                    assert_spaces_identical(space, other)
 
     def test_the_first_damaged_file_in_argument_order_is_reported(self, images, tmp_path):
         first, second, _, bounds = images
