@@ -41,7 +41,7 @@ from .errors import (
     UndefinedSimilarityError,
     VersionMismatchError,
 )
-from .persistence import load_space, load_spaces, save_space, write_space_tsv
+from .persistence import combine_files, load_space, load_spaces, save_space, write_space_tsv
 from .space import (
     NeighborIndex,
     SemanticSpace,
@@ -89,6 +89,7 @@ __all__ = [
     "apply_permutation",
     "build_filter",
     "combine",
+    "combine_files",
     "cosine",
     "count_vocabulary",
     "drift",

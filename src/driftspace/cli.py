@@ -38,11 +38,10 @@ from .errors import (
 from .space import (
     SemanticSpace,
     SpaceConfig,
-    combine,
+    combine,  # noqa: F401 - unused here; bench/tracing.py hooks cli.combine
     inverse_log_weights,
     norm_frequency_series,
     seed_matrix,
-    warn_mixed_widths,
 )
 
 EXIT_OK = 0
@@ -348,16 +347,7 @@ def _concat(arrays) -> np.ndarray:
 # --- other commands ----------------------------------------------------------
 
 def cmd_combine(ns: argparse.Namespace) -> int:
-    # A generator, so each input is loaded when the fold reaches it.
-    spaces = (persistence.load_space(path) for path in ns.spaces)
-    # The headers give every input's width up front: with mixed widths all
-    # inputs are widened as they load, so every sum is 64-bit.  Their term
-    # tables give the union, so the result is allocated once.
-    headers = [persistence.load_header(path) for path in ns.spaces]
-    if len({header.float_dtype for header, _ in headers}) > 1:
-        warn_mixed_widths()
-        spaces = (space.widen() for space in spaces)
-    merged = combine(spaces, functools.reduce(np.union1d, [terms for _, terms in headers]))
+    merged = persistence.combine_files(ns.spaces)
     path = persistence.save_space(merged, ns.out)
     print(f"{path}: {len(merged)} terms from {len(ns.spaces)} spaces")
     return EXIT_OK
@@ -372,15 +362,7 @@ def cmd_trajectory(ns: argparse.Namespace) -> int:
         raise ConfigError(f"top_n must be >= 1, got {ns.top_n}")
     chosen = diachronic.representatives(total, ns.term, ns.r_size, ns.min_count, extra)
     epochs = persistence.load_spaces(ns.spaces, terms=[ns.term, *chosen])
-    report = diachronic.time_trajectory(
-        total,
-        epochs,
-        ns.term,
-        r_size=ns.r_size,
-        top_n=ns.top_n,
-        min_count=ns.min_count,
-        extra_terms=extra,
-    )
+    report = diachronic.time_trajectory(total, epochs, ns.term, top_n=ns.top_n, chosen=chosen)
     return _emit(ns, report)
 
 

@@ -88,7 +88,8 @@ def representatives(total: SemanticSpace, term: str, r_size: int = 200, min_coun
 
 
 def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int = 200,
-                    top_n: int = 5, min_count: int = 1, extra_terms=()) -> TrajectoryReport:
+                    top_n: int = 5, min_count: int = 1, extra_terms=(),
+                    chosen=None) -> TrajectoryReport:
     """Track which representative neighbors a term is closest to per epoch.
 
     The anchor vector is the term's normalized context vector in ``total``
@@ -99,11 +100,14 @@ def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int =
     against the anchor, keeping ``top_n``.  Comparing slice vectors against
     a combined-space vector is sound because the spaces add linearly.  The
     epoch spaces need hold only the rows of the term and its
-    representatives.
+    representatives.  A caller that has already picked the set with
+    ``representatives`` passes it as ``chosen``, and ``r_size``,
+    ``min_count`` and ``extra_terms`` are then not used.
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
-    chosen = representatives(total, term, r_size, min_count, extra_terms)
+    if chosen is None:
+        chosen = representatives(total, term, r_size, min_count, extra_terms)
     spaces = _labeled_spaces(epoch_spaces)
     ensure_same_config([total, *spaces.values()])
     anchor = total.term_vector(term, normalized=True).astype(np.float64, copy=False)

@@ -34,8 +34,12 @@ into its array; the two matrix sections are read and checked in pool
 threads (``load_spaces``).  ``load_spaces(paths, terms)`` keeps only the
 rows of ``terms``: it streams the matrix sections through a reused buffer
 per thread, checks every byte against the CRCs all the same, and copies
-out only the kept rows.  Version 1 files (one checksummed record per term)
-are refused with VersionMismatchError.
+out only the kept rows.  ``combine_files(paths)`` sums files without
+loading any of them: it reads every header and term table first, allocates
+the union once, then streams each file's sections through the same
+buffers and adds every chunk, checked, into the result's rows.  Version 1
+files (one checksummed record per term) are refused with
+VersionMismatchError.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +67,13 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .space import SemanticSpace, SpaceConfig, WEIGHTINGS
+from .space import (
+    SemanticSpace,
+    SpaceConfig,
+    WEIGHTINGS,
+    ensure_same_config,
+    warn_mixed_widths,
+)
 from .vectors import HASH_ALGORITHM_ID
 
 MAGIC = b"DRIFTSPC"
@@ -207,44 +218,72 @@ def _read_section(fd: int, array: np.ndarray, offset: int, what: str,
     section's rows, ``array`` receives only the rows it marks, while every
     byte of the section still goes through the CRC.  ``preadv`` and
     ``crc32`` release the GIL, so pool threads read sections side by side."""
-    if keep is None:
-        data = _raw_bytes(array)
-        _drop_pages(data)
-        _read_at(fd, data, offset, f"{what} section")
-        crc, end = zlib.crc32(data), offset + data.size
-    else:
-        crc, end = _stream_rows(fd, array, offset, what, keep)
+    if keep is not None:
+        _stream_rows(fd, offset, (len(keep), array.shape[1]), array.dtype, what,
+                     _copy_kept(array, keep))
+        return array
+    data = _raw_bytes(array)
+    _drop_pages(data)
+    _read_at(fd, data, offset, f"{what} section")
+    _check_crc(fd, zlib.crc32(data), offset + data.size, what)
+    return array
+
+
+def _check_crc(fd: int, crc: int, end: int, what: str) -> None:
+    """Compare ``crc`` with the CRC-32 stored at ``end``, after the section."""
     checksum = _read_at(fd, bytearray(_U32.size), end, f"{what} checksum")
     if crc != _U32.unpack(checksum)[0]:
         raise ChecksumError(f"checksum mismatch in the {what} section")
-    return array
 
 
 _buffers = threading.local()
 
 
-def _stream_rows(fd: int, out: np.ndarray, offset: int, what: str, keep: np.ndarray):
-    """``(crc, end)`` of the section at ``offset`` with ``len(keep)`` rows,
-    read in chunks of whole rows into the calling thread's buffer, from
-    which the rows ``keep`` marks are copied into ``out``.  Rows left out
-    are never allocated, and the buffer's pages, once touched, are reused
-    by every later chunk."""
-    row_bytes = out.shape[1] * out.itemsize
+def _stream_rows(fd: int, offset: int, shape: tuple, dtype: np.dtype, what: str, sink) -> None:
+    """Read the section at ``offset``, ``shape`` = (rows, dim) floats of
+    ``dtype``, in chunks of whole rows into the calling thread's buffer;
+    feed each chunk to the CRC-32 and hand it to ``sink(first, chunk)`` as a
+    (rows, dim) view of the buffer whose first row is the section's row
+    ``first``; then check the section's CRC-32.  Only a chunk of the section
+    is ever held, and the buffer's pages, once touched, are reused by every
+    later chunk."""
+    rows, dim = shape
+    row_bytes = dim * dtype.itemsize
     step = max(1, _CHUNK // row_bytes)
     buffer = getattr(_buffers, "chunk", None)
     if buffer is None or buffer.size < step * row_bytes:
         buffer = _buffers.chunk = np.empty(step * row_bytes, dtype=np.uint8)
-    end = offset + len(keep) * row_bytes
-    crc, done = 0, 0
-    for first in range(0, len(keep), step):
-        rows = keep[first:first + step]
-        chunk = buffer[:len(rows) * row_bytes]
+    end = offset + rows * row_bytes
+    crc = 0
+    for first in range(0, rows, step):
+        chunk = buffer[:min(step, rows - first) * row_bytes]
         _read_at(fd, chunk, offset + first * row_bytes, f"{what} section", expected=end)
         crc = zlib.crc32(chunk, crc)
-        kept = chunk.view(out.dtype).reshape(len(rows), -1)[rows]
-        out[done:done + len(kept)] = kept
-        done += len(kept)
-    return crc, end
+        sink(first, chunk.view(dtype).reshape(-1, dim))
+    _check_crc(fd, crc, end, what)
+
+
+def _copy_kept(out: np.ndarray, keep: np.ndarray):
+    """A ``_stream_rows`` sink that copies the rows ``keep`` marks, in
+    order, into ``out``."""
+    before = np.concatenate(([0], np.cumsum(keep)))  # kept rows before each row
+
+    def sink(first, chunk):
+        last = first + len(chunk)
+        out[before[first]:before[last]] = chunk[keep[first:last]]
+    return sink
+
+
+def _add_into(out: np.ndarray, rows: np.ndarray):
+    """A ``_stream_rows`` sink that adds the section's row k into
+    ``out[rows[k]]``; ``rows`` ascends."""
+    def sink(first, chunk):
+        at = rows[first:first + len(chunk)]
+        if at[-1] - at[0] == len(at) - 1:  # consecutive rows: add in place
+            out[at[0]:at[-1] + 1] += chunk
+        else:
+            out[at] += chunk
+    return sink
 
 
 class _Reader:
@@ -356,7 +395,7 @@ class _Load:
         self.own_read = None
         try:
             reader = _Reader(self.file.fileno())
-            self.space, dtype, table = _read_header(reader)
+            self.space, dtype, table, _ = _read_header(reader)
             term_count = len(table[0])
             dim = self.space.config.dim
             keep = None
@@ -367,10 +406,8 @@ class _Load:
                 keep = np.isin(self.terms, terms)
                 self.terms = self.terms[keep]
             rows = term_count if keep is None else len(self.terms)
-            # The layout is checked, so the matrix sections are known to
-            # follow the counts section.
-            offset = reader.offset + term_count * _COUNT.itemsize + _U32.size
-            for what in ("context", "order"):
+            offsets = _matrix_offsets(reader.offset, term_count, dim * dtype.itemsize)
+            for what, offset in zip(("context", "order"), offsets):
                 # Allocated here, not in the pool threads: that kept peak
                 # RSS lower.
                 read = (reader.fd, np.empty((rows, dim), dtype=dtype), offset, what, keep)
@@ -378,14 +415,11 @@ class _Load:
                     self.own_read = read
                 else:
                     self.reads.append(pool.submit(_read_section, *read))
-                offset += term_count * dim * dtype.itemsize + _U32.size
             # Meanwhile, the checks of what precedes them in the file, in
             # file order.
             if terms is None:
                 self.terms = _decode_terms(*table)
-            self.counts = reader.section(np.empty(term_count, dtype=_COUNT), "counts")
-            if term_count and self.counts.min() < 0:
-                raise SpaceFormatError("a stored count exceeds 2**63 - 1")
+            self.counts = _read_counts(reader.fd, reader.offset, term_count)
             if keep is not None:
                 self.counts = self.counts[keep]
         except BaseException:
@@ -444,18 +478,117 @@ def _drop_pool() -> None:
 os.register_at_fork(after_in_child=_drop_pool)
 
 
-def load_header(path):
-    """``(space, terms)``: the space a file holds without its rows (config,
-    label, float width and token total) and its sorted term table, read
-    and checked as ``load_space`` checks them."""
+def _matrix_offsets(counts_at: int, term_count: int, row_bytes: int) -> tuple:
+    """The offsets of the context and order sections of a file whose counts
+    section starts at ``counts_at``; a checked layout puts them there."""
+    context_at = counts_at + term_count * _COUNT.itemsize + _U32.size
+    return context_at, context_at + term_count * row_bytes + _U32.size
+
+
+def _read_counts(fd: int, offset: int, term_count: int) -> np.ndarray:
+    """The counts section at ``offset``, checked."""
+    counts = _read_section(fd, np.empty(term_count, dtype=_COUNT), offset, "counts")
+    if term_count and counts.min() < 0:
+        raise SpaceFormatError("a stored count exceeds 2**63 - 1")
+    return counts
+
+
+class _Table(NamedTuple):
+    """A space file's header and term table, read and checked as
+    ``load_space`` checks them: the header as a space without rows, the
+    float dtype, the decoded terms, the file's size, and its bytes up to the
+    counts section as they were checked."""
+
+    path: object
+    space: SemanticSpace
+    dtype: np.dtype
+    terms: np.ndarray
+    size: int
+    head: bytes
+
+
+def _read_table(path) -> _Table:
     with open(path, "rb", buffering=0) as fh:
-        space, _, table = _read_header(_Reader(fh.fileno()))
-    return space, _decode_terms(*table)
+        reader = _Reader(fh.fileno())
+        space, dtype, (lengths, blob), header = _read_header(reader)
+    terms = _decode_terms(lengths, blob)
+    # The checked bytes as the file holds them, CRC-32s included.
+    head = [header]
+    for data in (_raw_bytes(lengths), blob):
+        head += [bytes(data), _U32.pack(zlib.crc32(data))]
+    return _Table(path, space, dtype, terms, reader.size, b"".join(head))
+
+
+def combine_files(paths) -> SemanticSpace:
+    """``combine`` of the spaces in the files at ``paths``, summed in 64-bit
+    if their float widths mix (with ``combine``'s warning), without loading
+    any of them.
+
+    The first pass reads every file's header and term table in argument
+    order and allocates the result, the union of their vocabularies, once.
+    The second reopens each file in turn, refuses it if its config differs
+    from the first file's (``combine``'s CombineMismatchError, before its
+    sections are read) or if its header or term table are no longer those
+    the first pass read (SpaceFormatError naming it), and adds its counts,
+    context and order sections into the result's rows as they stream past,
+    the context section in a pool thread.  Every section is checked as
+    ``load_space`` checks it, and the first damaged file in argument order
+    raises, with the first damaged section; damage to a header or term table
+    is found in the first pass, before any section is read.  Each row adds
+    its inputs in argument order, so the result equals ``combine`` of the
+    loaded spaces bit for bit.  One input file is open at a time.
+    """
+    tables = [_read_table(path) for path in paths]
+    if not tables:
+        raise ConfigError("combine needs at least one space")
+    first = tables[0].space
+    dtype = first.float_dtype
+    if len({table.dtype for table in tables}) > 1:
+        warn_mixed_widths()
+        dtype = np.dtype(np.float64)
+    terms = np.unique(np.concatenate([table.terms for table in tables]))
+    out = SemanticSpace.empty(first.config, "+".join(t.space.epoch_label for t in tables),
+                              float_dtype=dtype)
+    shape = (len(terms), first.config.dim)
+    out.set_rows(terms, np.zeros(len(terms), dtype=np.int64),
+                 np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+    out.ingested_tokens = sum(table.space.ingested_tokens for table in tables)
+    pool, _ = _section_pool()
+    for table in tables:
+        ensure_same_config([first, table.space])
+        _add_file(table, out, np.searchsorted(terms, table.terms), pool)
+    return out
+
+
+def _add_file(table: _Table, out: SemanticSpace, rows: np.ndarray,
+              pool: ThreadPoolExecutor) -> None:
+    """Add the sections of ``table``'s file into ``out``'s ``rows``."""
+    with open(table.path, "rb", buffering=0) as fh:
+        fd = fh.fileno()
+        if (os.fstat(fd).st_size != table.size
+                or _read_at(fd, bytearray(len(table.head)), 0, "header") != table.head):
+            raise SpaceFormatError(f"{table.path} changed while it was being combined")
+        shape = (len(table.terms), out.config.dim)
+        context_at, order_at = _matrix_offsets(len(table.head), shape[0],
+                                               shape[1] * table.dtype.itemsize)
+        context = pool.submit(_stream_rows, fd, context_at, shape, table.dtype, "context",
+                              _add_into(out.context, rows))
+        try:
+            out.counts[rows] += _read_counts(fd, len(table.head), shape[0])
+            try:
+                _stream_rows(fd, order_at, shape, table.dtype, "order",
+                             _add_into(out.order, rows))
+            finally:
+                context.result()  # damage to the context section is reported first
+        finally:
+            context.cancel()
+            wait([context])
 
 
 def _read_header(reader: _Reader):
-    """The header as an empty space, the file's float dtype and the term
-    table as read and checked, not yet decoded (``_decode_terms``)."""
+    """The header as an empty space, the file's float dtype, the term
+    table as read and checked, not yet decoded (``_decode_terms``), and the
+    header's bytes."""
     fixed = reader.take(_FIXED_HEADER.size, "fixed header")
     (magic, version, dim, window, order_span, global_seed, perm_seed, weighting_code,
      hash_algorithm, float_width, compaction) = _FIXED_HEADER.unpack(fixed)
@@ -482,8 +615,9 @@ def _read_header(reader: _Reader):
     label_len = reader.take(_U32.size, "label length")
     label_bytes = reader.take(_U32.unpack(label_len)[0], "epoch label")
     counts = reader.take(_COUNTS.size, "term and token counts")
-    (stored,) = _U32.unpack(reader.take(_U32.size, "header checksum"))
-    if zlib.crc32(fixed + label_len + label_bytes + counts) != stored:
+    header = fixed + label_len + label_bytes + counts
+    checksum = reader.take(_U32.size, "header checksum")
+    if zlib.crc32(header) != _U32.unpack(checksum)[0]:
         raise ChecksumError("header checksum mismatch")
     # Decode only after the checksum passed, so a corrupted byte surfaces
     # as a checksum failure rather than a decode error.
@@ -503,7 +637,8 @@ def _read_header(reader: _Reader):
     space = SemanticSpace.empty(config, label, float_dtype=native)
     space.ingested_tokens = ingested_tokens
     dtype = _WIDTH_DTYPES[float_width]
-    return space, dtype, _read_term_table(reader, term_count, dim * dtype.itemsize)
+    table = _read_term_table(reader, term_count, dim * dtype.itemsize)
+    return space, dtype, table, header + checksum
 
 
 def _read_term_table(reader: _Reader, term_count: int, row_bytes: int) -> tuple:

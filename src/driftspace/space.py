@@ -634,21 +634,20 @@ def warn_mixed_widths(stacklevel: int = 2) -> None:
     )
 
 
-def combine(spaces, terms=None) -> SemanticSpace:
+def combine(spaces) -> SemanticSpace:
     """Componentwise sum of spaces sharing one config.
 
     ``spaces`` may be any iterable; it is folded in order and each input
     can be released once it has been added, so a generator of loads holds
     one input at a time.  The result's vocabulary is the union of the
-    inputs'; ``terms``, that union sorted when the caller knows it up
-    front, sizes the result once, and without it the result grows as
-    inputs bring new terms.  Counts and token totals add exactly; vectors
-    add in the argument order, so the result is bitwise deterministic for
-    a fixed input order.  Mixing 32- and 64-bit spaces upcasts the result
-    to 64-bit with a warning, from the first input whose width differs
-    from the first input's: 32-bit inputs before it are summed in 32-bit.
-    Widen every input first (``SemanticSpace.widen``) to sum all of them
-    in 64-bit.
+    inputs', grown as inputs bring new terms (``persistence.combine_files``
+    sums files into a result allocated once).  Counts and token totals add
+    exactly; vectors add in the argument order, so the result is bitwise
+    deterministic for a fixed input order.  Mixing 32- and 64-bit spaces
+    upcasts the result to 64-bit with a warning, from the first input whose
+    width differs from the first input's: 32-bit inputs before it are summed
+    in 32-bit.  Widen every input first (``SemanticSpace.widen``) to sum all
+    of them in 64-bit.
     """
     out = None
     labels = []
@@ -659,8 +658,6 @@ def combine(spaces, terms=None) -> SemanticSpace:
             # a config mismatch names it.
             out = SemanticSpace.empty(space.config, space.epoch_label,
                                       float_dtype=space.float_dtype)
-            if terms is not None:
-                out._grow(terms)
         ensure_same_config([out, space])
         if space.float_dtype != out.float_dtype and not mixed:
             mixed = True

@@ -1,23 +1,43 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftspace
-from driftspace import SpaceConfig, cli, diachronic, load_space, load_spaces, persistence, reports
+from driftspace import (
+    ConfigError,
+    SemanticSpace,
+    SpaceConfig,
+    SpaceFormatError,
+    cli,
+    combine,
+    diachronic,
+    load_space,
+    load_spaces,
+    persistence,
+    reports,
+)
 from driftspace.corpus import build_filter, count_vocabulary, filtered_stream, read_documents
 from driftspace.space import inverse_log_weights, norm_frequency_series
 
 from helpers import (
     assert_spaces_close,
     build_space,
+    random_sentences,
     sentences_to_text,
     two_phase_epochs,
     write_epoch_dir,
@@ -314,6 +334,291 @@ class TestCombine:
         assert code == cli.EXIT_MISSING
 
 
+COMBINE_CFG = SpaceConfig(dim=16, window=5, order_span=2, global_seed=3, perm_seed=4)
+_MIXED_WARNING = "combining spaces of mixed float widths; result upcast to 64-bit"
+
+
+@pytest.fixture(scope="module")
+def small_spaces():
+    """Spaces over overlapping and disjoint vocabularies, uniform and
+    inverse-log weighted, and an empty one."""
+    rng = random.Random(61)
+    weighted = SpaceConfig(dim=16, window=5, order_span=2, global_seed=3, perm_seed=4,
+                           weighting="inverse_log_frequency")
+    weights = {t: 1.0 / (k + 1) for k, t in enumerate(["p", "q", "r", "s", "t", "ü"])}
+    spaces = {}
+    for label, vocab in (("a", ["p", "q", "r", "s", "mango"]), ("b", ["q", "s", "t", "ü"]),
+                         ("c", ["x", "y", "zz"])):
+        spaces[label] = build_space(COMBINE_CFG, label, random_sentences(rng, vocab, 14))
+    for label, vocab in (("wa", ["p", "q", "r"]), ("wb", ["r", "s", "t", "ü"])):
+        spaces[label] = build_space(weighted, label, random_sentences(rng, vocab, 9),
+                                    weights=weights)
+    spaces["void"] = SemanticSpace(COMBINE_CFG, "void")
+    return spaces
+
+
+def _combine_argv(paths, out):
+    return ["combine", *map(str, paths), "--out", str(out)]
+
+
+class TestCombineStreams:
+    """``combine`` sums the files as they stream past, into the bytes that
+    the library's ``combine`` of the loaded inputs saves."""
+
+    CASES = {
+        "64-bit": [("a", 64), ("b", 64), ("c", 64)],
+        "32-bit": [("a", 32), ("b", 32)],
+        "mixed widths": [("a", 32), ("b", 64), ("c", 32)],
+        "inverse_log_frequency": [("wa", 64), ("wb", 64)],
+        "disjoint vocabularies": [("c", 64), ("a", 64)],
+        "an empty space": [("a", 64), ("void", 64), ("b", 64)],
+        "only an empty space": [("void", 32)],
+        "one input": [("b", 32)],
+        "a repeated input": [("a", 64), ("b", 64), ("a", 64)],
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 400, persistence._CHUNK])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_are_the_saved_library_combine(self, small_spaces, case, chunk, tmp_path,
+                                                monkeypatch):
+        inputs = self.CASES[case]
+        paths = []
+        for k, (name, width) in enumerate(inputs):
+            paths.append(persistence.save_space(small_spaces[name],
+                                                tmp_path / f"{k}-{name}-{width}.space",
+                                                float_width=width))
+        mixed = len({width for _, width in inputs}) > 1
+        loaded = [load_space(path) for path in paths]
+        expected = persistence.save_space(
+            combine([space.widen() for space in loaded] if mixed else loaded),
+            tmp_path / "expected.space").read_bytes()
+        # Chunks of one row, of a few rows, and whole sections.
+        monkeypatch.setattr(persistence, "_CHUNK", chunk)
+        out = tmp_path / "total.space"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(_combine_argv(paths, out)) == cli.EXIT_OK
+        assert [str(w.message) for w in caught] == ([_MIXED_WARNING] if mixed else [])
+        assert out.read_bytes() == expected
+
+    def test_no_inputs_is_exit_2(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="at least one space"):
+            persistence.combine_files([])
+        assert cli.main(["combine", "--out", str(tmp_path / "o.space")]) == cli.EXIT_CONFIG
+
+    @pytest.fixture(scope="class")
+    def images(self, small_spaces, tmp_path_factory):
+        """Three saved inputs and the bounds of each one's sections."""
+        root = tmp_path_factory.mktemp("combine-images")
+        images = []
+        for name, width in (("a", 64), ("b", 32), ("c", 64)):
+            data = persistence.save_space(small_spaces[name], root / "x.space",
+                                          float_width=width).read_bytes()
+            images.append((data, _section_starts(data, small_spaces[name], width)))
+        return images
+
+    @pytest.mark.filterwarnings("ignore:combining spaces of mixed float widths")
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_input_fails_as_its_own_load(self, images, data, tmp_path_factory):
+        root = tmp_path_factory.mktemp("damaged")
+        paths, pass_one, damaged = [], [], []
+        for k, (image, starts) in enumerate(images):
+            path = root / f"{k}.space"
+            paths.append(path)
+            if not data.draw(st.booleans(), label=f"damage input {k}"):
+                path.write_bytes(image)
+                continue
+            # Sections: the header, or one of the five with its CRC-32.
+            sections = data.draw(st.sets(st.integers(0, len(starts) - 2), min_size=1,
+                                         max_size=2), label="sections")
+            at = [data.draw(st.integers(starts[n], starts[n + 1] - 1)) for n in sorted(sections)]
+            if data.draw(st.booleans(), label="truncate"):
+                path.write_bytes(image[:at[-1]])
+            else:
+                flipped = bytearray(image)
+                for offset in at:
+                    flipped[offset] ^= 0xFF
+                path.write_bytes(bytes(flipped))
+            damaged.append(k)
+            # Header and term table damage, and any truncation, are found
+            # before any file's sections are read.
+            if min(sections) < 3 or len(path.read_bytes()) < len(image):
+                pass_one.append(k)
+        out_dir = root / "out"
+        out_dir.mkdir()
+        code, err = _run_cli(_combine_argv(paths, out_dir / "total.space"))
+        if not damaged:
+            assert code == cli.EXIT_OK
+            return
+        with pytest.raises(SpaceFormatError) as alone:
+            load_space(paths[(pass_one or damaged)[0]])
+        assert code == cli.EXIT_MISSING
+        assert err == f"error: {alone.value}\n"
+        assert list(out_dir.iterdir()) == []  # no --out file and no temp file
+
+    @pytest.mark.parametrize("sections, reported", [
+        ((3, 4), "counts"), ((4, 5), "context"), ((3, 5), "counts"), ((5,), "order")])
+    def test_within_an_input_its_first_damaged_section_is_reported(self, images, tmp_path,
+                                                                   sections, reported):
+        good = tmp_path / "good.space"
+        good.write_bytes(images[0][0])
+        image, starts = images[2]
+        flipped = bytearray(image)
+        for n in sections:
+            flipped[starts[n + 1] - 5] ^= 0xFF  # the section's last byte
+        damaged = tmp_path / "damaged.space"
+        damaged.write_bytes(bytes(flipped))
+        for paths in ([damaged], [good, damaged, good]):
+            code, err = _run_cli(_combine_argv(paths, tmp_path / "total.space"))
+            assert (code, err) == (cli.EXIT_MISSING,
+                                   f"error: checksum mismatch in the {reported} section\n")
+
+    def test_a_config_mismatch_is_refused_before_its_sections_are_read(self, images,
+                                                                      tmp_path):
+        other = build_space(SpaceConfig(dim=16, window=5, order_span=2, global_seed=9,
+                                        perm_seed=4), "o", [["p", "q", "r"]])
+        data = persistence.save_space(other, tmp_path / "o.space").read_bytes()
+        bounds = _section_starts(data, other, 64)
+        mismatched = tmp_path / "mismatched.space"  # its context section damaged
+        mismatched.write_bytes(data[:bounds[4]] + bytes([data[bounds[4]] ^ 0xFF])
+                               + data[bounds[4] + 1:])
+        good = tmp_path / "good.space"
+        good.write_bytes(images[0][0])
+        late = tmp_path / "late.space"  # its order section damaged
+        image, starts = images[2]
+        late.write_bytes(image[:starts[5]] + bytes([image[starts[5]] ^ 0xFF])
+                         + image[starts[5] + 1:])
+        out = tmp_path / "out" / "total.space"
+        out.parent.mkdir()
+        code, err = _run_cli(_combine_argv([good, mismatched, late], out))
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: spaces use different configurations: ")
+        assert err.endswith("(labels 'a' vs 'o')\n")
+        # Damage to an earlier input's sections is still reported first.
+        code, err = _run_cli(_combine_argv([good, late, mismatched], out))
+        assert (code, err) == (cli.EXIT_MISSING,
+                               "error: checksum mismatch in the order section\n")
+        assert list(out.parent.iterdir()) == []
+
+    def test_one_input_file_is_open_at_a_time(self, small_spaces, tmp_path, monkeypatch):
+        paths = [persistence.save_space(small_spaces["a"], tmp_path / f"{k}.space")
+                 for k in range(6)]
+        opened = {"now": 0, "peak": 0}
+
+        class Counted(io.FileIO):
+            def __init__(self, path, mode="r", buffering=-1):
+                super().__init__(path, mode)
+                opened["now"] += 1
+                opened["peak"] = max(opened["peak"], opened["now"])
+
+            def close(self):
+                if not self.closed:
+                    opened["now"] -= 1
+                super().close()
+
+        monkeypatch.setattr(persistence, "open", Counted, raising=False)
+        assert persistence.combine_files(paths) == combine([small_spaces["a"]] * 6)
+        assert opened == {"now": 0, "peak": 1}
+
+    def test_threads_combining_at_once_get_equal_sums(self, small_spaces, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(persistence, "_CHUNK", 1)  # one row per chunk
+        paths = [persistence.save_space(small_spaces[name], tmp_path / f"{name}.space")
+                 for name in ("a", "b", "c", "a")]
+        expected = combine([load_space(path) for path in paths])
+        results, start = {}, threading.Barrier(4, timeout=60)
+
+        def run(k):
+            start.wait()
+            results[k] = [persistence.combine_files(paths) for _ in range(10)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(total == expected for totals in results.values() for total in totals)
+
+    def test_many_inputs_under_a_low_descriptor_limit(self, small_spaces, tmp_path):
+        spaces = [small_spaces[name] for name in ("a", "b", "c")] * 16
+        paths = [persistence.save_space(space, tmp_path / f"{k:02d}.space")
+                 for k, space in enumerate(spaces)]
+        out = tmp_path / "total.space"
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_NOFILE,\n"
+                  "                   (32, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
+                  "from driftspace import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, *_combine_argv(paths, out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        expected = persistence.save_space(combine(spaces), tmp_path / "expected.space")
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("replacement", ["another space", "relabelled", "one byte longer"])
+    def test_an_input_replaced_between_the_passes_is_exit_3(self, small_spaces, tmp_path,
+                                                            monkeypatch, capsys, replacement):
+        paths = [persistence.save_space(small_spaces[name], tmp_path / f"{name}.space")
+                 for name in ("a", "b")]
+        swapped = paths[1]
+        if replacement == "another space":
+            new = persistence.save_space(small_spaces["c"], tmp_path / "new.space")
+        elif replacement == "relabelled":
+            relabelled = load_space(swapped)
+            relabelled.epoch_label = "b2"
+            new = persistence.save_space(relabelled, tmp_path / "new.space")
+        else:
+            new = tmp_path / "new.space"
+            new.write_bytes(swapped.read_bytes() + b"\0")
+        add_file = persistence._add_file
+
+        def swap_first(*args):
+            if new.exists():  # after the first pass, before any section is read
+                os.replace(new, swapped)
+            return add_file(*args)
+
+        monkeypatch.setattr(persistence, "_add_file", swap_first)
+        out = tmp_path / "out" / "total.space"
+        out.parent.mkdir()
+        assert cli.main(_combine_argv(paths, out)) == cli.EXIT_MISSING
+        assert capsys.readouterr().err == (
+            f"error: {swapped} changed while it was being combined\n")
+        assert list(out.parent.iterdir()) == []
+
+
+def _section_starts(data: bytes, space, width: int) -> list:
+    """Where the header and each section (with its CRC-32) of ``space``,
+    saved as ``data`` at ``width`` bits, start, and the file's end."""
+    fixed = struct.calcsize("<8sIIIIQQBBBB")
+    (label_len,) = struct.unpack_from("<I", data, fixed)
+    n, row_bytes = len(space), width // 8 * space.config.dim
+    sizes = (4 * n, sum(len(t.encode()) for t in space.terms.tolist()), 8 * n,
+             n * row_bytes, n * row_bytes)
+    starts = [0, fixed + 4 + label_len + 20]
+    for size in sizes:
+        starts.append(starts[-1] + size + 4)
+    assert starts[-1] == len(data)
+    return starts
+
+
+def _run_cli(argv) -> tuple:
+    """``(exit code, stderr)`` of ``cli.main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def total_space(built, tmp_path_factory):
     out = tmp_path_factory.mktemp("total") / "total.space"
@@ -378,6 +683,21 @@ class TestReportsCommands:
         assert lines[0] == "epoch\trank\tterm\tsimilarity\tanchor_count"
         assert any(line.startswith("e1\t1\t") for line in lines)
         assert any(line.startswith("e2\t1\t") for line in lines)
+
+    def test_trajectory_queries_the_representatives_once(self, built, total_space, tmp_path,
+                                                         monkeypatch):
+        queries = []
+        nearest = SemanticSpace.nearest_neighbors
+
+        def counted(space, *args, **kwargs):
+            queries.append(space.epoch_label)
+            return nearest(space, *args, **kwargs)
+
+        monkeypatch.setattr(SemanticSpace, "nearest_neighbors", counted)
+        argv = ["trajectory", "gizmo", "--total", str(total_space), "--spaces",
+                str(built / "e1.space"), str(built / "e2.space"), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert queries == ["e1+e2"]
 
     def test_drift_with_term_subset(self, built, tmp_path):
         out = tmp_path / "run"

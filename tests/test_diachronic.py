@@ -133,6 +133,18 @@ class TestTrajectory:
         assert time_trajectory(total, cut, "gizmo", **kwargs) == \
             time_trajectory(total, spaces, "gizmo", **kwargs)
 
+    def test_a_chosen_set_is_ranked_without_a_second_query(self, phase_spaces, monkeypatch):
+        total, spaces = phase_spaces
+        kwargs = dict(r_size=6, min_count=2, extra_terms=["fill001", "absent"])
+        expected = time_trajectory(total, spaces, "gizmo", top_n=3, **kwargs)
+        chosen = representatives(total, "gizmo", **kwargs)
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("the representatives were queried again")
+
+        monkeypatch.setattr(SemanticSpace, "nearest_neighbors", no_query)
+        assert time_trajectory(total, spaces, "gizmo", top_n=3, chosen=chosen) == expected
+
     @pytest.mark.parametrize("r_size", [0, -2])
     def test_representatives_check_r_size_before_the_query(self, phase_spaces, r_size):
         total, _ = phase_spaces

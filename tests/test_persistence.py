@@ -33,7 +33,7 @@ from driftspace import (
     save_space,
 )
 from driftspace import persistence
-from driftspace.persistence import FORMAT_VERSION, MAGIC, load_header, write_space_tsv
+from driftspace.persistence import FORMAT_VERSION, MAGIC, write_space_tsv
 
 from helpers import assert_spaces_identical, build_space, cut_to_terms, random_sentences
 
@@ -218,14 +218,19 @@ class TestFloatWidth:
             assert np.array_equal(merged.term_vector(term), expected)
         assert merged == combine([part.widen() for part in inputs])
 
-    def test_load_header_matches_load_space(self, space, tmp_path):
+    def test_read_table_matches_load_space(self, space, tmp_path):
         path = save_space(space, tmp_path / "n.space", float_width=32)
-        header, terms = load_header(path)
+        table = persistence._read_table(path)
         loaded = load_space(path)
+        header = table.space
         assert (header.config, header.epoch_label, header.float_dtype, header.ingested_tokens) == (
             loaded.config, loaded.epoch_label, loaded.float_dtype, loaded.ingested_tokens)
-        assert len(header) == 0
-        assert terms.tolist() == loaded.terms.tolist() == space.terms.tolist()
+        assert len(header) == 0 and table.dtype == np.dtype("<f4")
+        assert table.terms.tolist() == loaded.terms.tolist() == space.terms.tolist()
+        # The head is the file's bytes up to the counts section.
+        data = path.read_bytes()
+        assert table.size == len(data)
+        assert table.head == data[:_section_bounds(loaded, data)["counts"][0]]
 
     def test_bad_width_rejected(self, space, tmp_path):
         with pytest.raises(ConfigError):

@@ -636,29 +636,6 @@ class TestCombine:
         with pytest.raises(ConfigError):
             combine(iter([]))
 
-    def test_a_known_union_is_allocated_once(self, monkeypatch):
-        rng = random.Random(112)
-        shards = [
-            build_space(SMALL, f"s{k}", random_sentences(rng, [f"v{k}{i}" for i in range(6)], 10))
-            for k in range(3)
-        ]
-        union = np.unique(np.concatenate([shard.terms for shard in shards]))
-        grown = []
-        original = SemanticSpace._grow
-
-        def spy(space, terms):
-            before = space.context
-            rows = original(space, terms)
-            grown.append(space.context is not before)
-            return rows
-
-        monkeypatch.setattr(SemanticSpace, "_grow", spy)
-        sized = combine(shards, union)
-        assert grown.count(True) == 1
-        grown.clear()
-        assert combine(shards) == sized
-        assert grown.count(True) == len(shards)
-
     def test_generator_is_folded_one_input_at_a_time(self):
         _, shards = self._shards(n_shards=4)
         alive = []
