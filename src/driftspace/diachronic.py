@@ -101,13 +101,16 @@ def time_trajectory(total: SemanticSpace, epoch_spaces, term: str, r_size: int =
     a combined-space vector is sound because the spaces add linearly.  The
     epoch spaces need hold only the rows of the term and its
     representatives.  A caller that has already picked the set with
-    ``representatives`` passes it as ``chosen``, and ``r_size``,
-    ``min_count`` and ``extra_terms`` are then not used.
+    ``representatives`` passes it as ``chosen``, which replaces ``r_size``,
+    ``min_count`` and ``extra_terms``: giving any of them other than its
+    default alongside ``chosen`` raises ConfigError.
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
     if chosen is None:
         chosen = representatives(total, term, r_size, min_count, extra_terms)
+    elif (r_size, min_count, tuple(extra_terms)) != (200, 1, ()):
+        raise ConfigError("chosen replaces r_size, min_count and extra_terms; give one or the others")
     spaces = _labeled_spaces(epoch_spaces)
     ensure_same_config([total, *spaces.values()])
     anchor = total.term_vector(term, normalized=True).astype(np.float64, copy=False)

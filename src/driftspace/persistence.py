@@ -276,13 +276,9 @@ def _copy_kept(out: np.ndarray, keep: np.ndarray):
 
 def _add_into(out: np.ndarray, rows: np.ndarray):
     """A ``_stream_rows`` sink that adds the section's row k into
-    ``out[rows[k]]``; ``rows`` ascends."""
+    ``out[rows[k]]``; no row repeats in ``rows``."""
     def sink(first, chunk):
-        at = rows[first:first + len(chunk)]
-        if at[-1] - at[0] == len(at) - 1:  # consecutive rows: add in place
-            out[at[0]:at[-1] + 1] += chunk
-        else:
-            out[at] += chunk
+        out[rows[first:first + len(chunk)]] += chunk
     return sink
 
 

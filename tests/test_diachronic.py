@@ -145,6 +145,14 @@ class TestTrajectory:
         monkeypatch.setattr(SemanticSpace, "nearest_neighbors", no_query)
         assert time_trajectory(total, spaces, "gizmo", top_n=3, chosen=chosen) == expected
 
+    @pytest.mark.parametrize("given", [dict(r_size=6), dict(min_count=2),
+                                       dict(extra_terms=["fill001"])])
+    def test_a_chosen_set_refuses_the_settings_it_replaces(self, phase_spaces, given):
+        total, spaces = phase_spaces
+        chosen = representatives(total, "gizmo", r_size=6)
+        with pytest.raises(ConfigError, match="chosen replaces"):
+            time_trajectory(total, spaces, "gizmo", chosen=chosen, **given)
+
     @pytest.mark.parametrize("r_size", [0, -2])
     def test_representatives_check_r_size_before_the_query(self, phase_spaces, r_size):
         total, _ = phase_spaces
