@@ -108,34 +108,46 @@ class RunConfig:
         )
 
 
-def _parse_config_value(raw: str):
-    text = raw.strip()
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def _config_value(action, text: str, where: str):
+    """``text`` as the flag ``action`` takes it: a boolean for a store_true
+    or store_false flag, a comma-separated list (as config.txt writes it)
+    for a flag of many values, else converted by the flag's type and checked
+    against its choices."""
     try:
-        return int(text)
-    except ValueError:
+        if action.nargs == 0:
+            return _BOOLEANS[text.lower()]
+        if action.nargs == "+":
+            value = [piece.strip() for piece in text.split(",") if piece.strip()] or None
+        else:
+            value = text if action.type is None else action.type(text)
+        if value is not None and (action.choices is None or value in action.choices):
+            return value
+    except (KeyError, ValueError):
         pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+    raise ConfigError(f"{where}invalid value for {action.dest}: {text!r}")
 
 
 _RUNCONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def _apply_config_file(ns: argparse.Namespace) -> None:
+def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     path = getattr(ns, "config", None)
     if not path:
         return
     path = Path(path)
     if not path.is_file():
         raise MissingDataError(f"config file not found: {path}")
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    own = {action.dest: action for action in commands[ns.command]._actions}
+    # A RunConfig key this command has no flag for converts as the other
+    # commands' flag of that name does.
+    flags = {action.dest: action for sub in commands.values() for action in sub._actions}
+    flags.update(own)
     for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -144,9 +156,9 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _RUNCONFIG_KEYS and not hasattr(ns, key):
+        if key not in _RUNCONFIG_KEYS and key not in own:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        setattr(ns, key, _parse_config_value(raw))
+        setattr(ns, key, _config_value(flags[key], raw.strip(), f"{path}:{lineno}: "))
 
 
 def _write_run_config(out_dir: Path, ns: argparse.Namespace) -> None:
@@ -606,7 +618,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config_file(ns)
+        _apply_config_file(ns, parser)
         if getattr(ns, "term", None) is not None:
             ns.term = _normalize_term(str(ns.term))
         return ns.func(ns)

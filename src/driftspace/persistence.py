@@ -34,12 +34,12 @@ into its array; the two matrix sections are read and checked in pool
 threads (``load_spaces``).  ``load_spaces(paths, terms)`` keeps only the
 rows of ``terms``: it streams the matrix sections through a reused buffer
 per thread, checks every byte against the CRCs all the same, and copies
-out only the kept rows.  ``combine_files(paths)`` sums files without
-loading any of them: it reads every header and term table first, allocates
-the union once, then streams each file's sections through the same
-buffers and adds every chunk, checked, into the result's rows.  Version 1
-files (one checksummed record per term) are refused with
-VersionMismatchError.
+out only the kept rows.  ``combine_files(paths)`` is ``combine``'s
+kernel over files, its streaming path: it reads every header and term table
+first, lets the kernel allocate the union once, then streams each file's
+sections through the same buffers and adds every chunk, checked, into the
+result's rows, one input file at a time.  Version 1 files (one checksummed
+record per term) are refused with VersionMismatchError.
 """
 
 from __future__ import annotations
@@ -67,13 +67,7 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .space import (
-    SemanticSpace,
-    SpaceConfig,
-    WEIGHTINGS,
-    ensure_same_config,
-    warn_mixed_widths,
-)
+from .space import SemanticSpace, SpaceConfig, WEIGHTINGS, _summed
 from .vectors import HASH_ALGORITHM_ID
 
 MAGIC = b"DRIFTSPC"
@@ -516,49 +510,30 @@ def _read_table(path) -> _Table:
 
 
 def combine_files(paths) -> SemanticSpace:
-    """``combine`` of the spaces in the files at ``paths``, summed in 64-bit
-    if their float widths mix (with ``combine``'s warning), without loading
-    any of them.
+    """``combine`` of the spaces in the files at ``paths``, into its bytes,
+    streamed: no input is loaded and one input file is open at a time.
 
     The first pass reads every file's header and term table in argument
-    order and allocates the result, the union of their vocabularies, once.
-    The second reopens each file in turn, refuses it if its config differs
-    from the first file's (``combine``'s CombineMismatchError, before its
-    sections are read) or if its header or term table are no longer those
-    the first pass read (SpaceFormatError naming it), and adds its counts,
-    context and order sections into the result's rows as they stream past,
-    the context section in a pool thread.  Every section is checked as
-    ``load_space`` checks it, and the first damaged file in argument order
-    raises, with the first damaged section; damage to a header or term table
-    is found in the first pass, before any section is read.  Each row adds
-    its inputs in argument order, so the result equals ``combine`` of the
-    loaded spaces bit for bit.  One input file is open at a time.
+    order, and ``combine``'s kernel allocates the union of their
+    vocabularies once.  The second reopens each file in turn, refuses it if
+    its config differs from the first file's (``combine``'s
+    CombineMismatchError, before its sections are read) or if its header or
+    term table are no longer those the first pass read (SpaceFormatError
+    naming it), and adds its counts, context and order sections into the
+    result's rows as they stream past, the context section in a pool
+    thread.  Every section is checked as ``load_space`` checks it, and the
+    first damaged file in argument order raises, with the first damaged
+    section; damage to a header or term table is found in the first pass,
+    before any section is read.
     """
     tables = [_read_table(path) for path in paths]
-    if not tables:
-        raise ConfigError("combine needs at least one space")
-    first = tables[0].space
-    dtype = first.float_dtype
-    if len({table.dtype for table in tables}) > 1:
-        warn_mixed_widths()
-        dtype = np.dtype(np.float64)
-    terms = np.unique(np.concatenate([table.terms for table in tables]))
-    out = SemanticSpace.empty(first.config, "+".join(t.space.epoch_label for t in tables),
-                              float_dtype=dtype)
-    shape = (len(terms), first.config.dim)
-    out.set_rows(terms, np.zeros(len(terms), dtype=np.int64),
-                 np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
-    out.ingested_tokens = sum(table.space.ingested_tokens for table in tables)
-    pool, _ = _section_pool()
-    for table in tables:
-        ensure_same_config([first, table.space])
-        _add_file(table, out, np.searchsorted(terms, table.terms), pool)
-    return out
+    return _summed([table.space for table in tables], [table.terms for table in tables],
+                   lambda k, out, rows: _add_file(tables[k], out, rows))
 
 
-def _add_file(table: _Table, out: SemanticSpace, rows: np.ndarray,
-              pool: ThreadPoolExecutor) -> None:
+def _add_file(table: _Table, out: SemanticSpace, rows: np.ndarray) -> None:
     """Add the sections of ``table``'s file into ``out``'s ``rows``."""
+    pool, _ = _section_pool()
     with open(table.path, "rb", buffering=0) as fh:
         fd = fh.fileno()
         if (os.fstat(fd).st_size != table.size

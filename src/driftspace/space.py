@@ -7,7 +7,8 @@ offset-permuted seed vectors, including the center's own seed at offset 0),
 and a center count, as rows of term-indexed matrices.  Accumulation is
 linear, so spaces built on parts of a corpus under the same config combine
 by plain summation into the space of the whole corpus, up to float
-summation order.
+summation order.  ``combine``, ``persistence.combine_files`` and an ingest
+into a space that holds rows are one such sum, ``_summed``.
 """
 
 from __future__ import annotations
@@ -356,8 +357,8 @@ class SemanticSpace:
 
         ``ids[i] == -1`` is a hole; a window never spans two positions
         with different ``sentence_ids``.  ``seeds[k]`` is the seed of
-        ``terms[k]`` already scaled by its weight.  Vectors are added in
-        the space's own float width.
+        ``terms[k]`` already scaled by its weight.  Vectors are summed in
+        64-bit, rounded once to the space's width.
         """
         terms = np.array(terms, dtype=str)
         if np.any(terms[1:] <= terms[:-1]):
@@ -376,39 +377,12 @@ class SemanticSpace:
             self.set_rows(terms, counts, context.astype(dtype, copy=False),
                           order.astype(dtype, copy=False))
         else:
-            self._add(terms, counts, context, order)
+            part = SemanticSpace.empty(self.config, self.epoch_label)
+            part.set_rows(terms, counts, context, order)
+            summed = _summed([self, part], [self.terms, terms], _add_rows([self, part]),
+                             dtype=self.float_dtype)
+            self.set_rows(summed.terms, summed.counts, summed.context, summed.order)
         self.ingested_tokens += int(counts.sum())
-
-    def _grow(self, terms) -> np.ndarray:
-        """Extend the vocabulary to its union with sorted ``terms`` (new
-        rows are zero) and return the rows of ``terms``."""
-        rows = np.searchsorted(self.terms, terms)
-        if len(self) and np.array_equal(self.terms[np.minimum(rows, len(self) - 1)], terms):
-            return rows
-        union = np.union1d(self.terms, terms)
-        old = np.searchsorted(union, self.terms)
-        grown = []
-        for array in (self.counts, self.context, self.order):
-            wider = np.zeros((len(union),) + array.shape[1:], dtype=array.dtype)
-            wider[old] = array
-            grown.append(wider)
-        self.set_rows(union, *grown)
-        return np.searchsorted(self.terms, terms)
-
-    def _add(self, terms, counts, context, order) -> None:
-        """Indexed add of rows given for sorted ``terms``."""
-        rows = self._grow(terms)
-        self.counts[rows] += counts
-        self.context[rows] += context
-        self.order[rows] += order
-        self._indexes = {}
-
-    def widen(self) -> "SemanticSpace":
-        """Convert every vector to 64-bit in place (exact); returns self."""
-        self.context = self.context.astype(np.float64, copy=False)
-        self.order = self.order.astype(np.float64, copy=False)
-        self._indexes = {}
-        return self
 
     def term_vector(self, term: str, normalized: bool = False, kind: str = "context") -> np.ndarray:
         """Copy of a term's context or order vector, optionally unit length."""
@@ -627,49 +601,55 @@ def ensure_same_config(spaces) -> SpaceConfig:
     return config
 
 
-def warn_mixed_widths(stacklevel: int = 2) -> None:
-    warnings.warn(
-        "combining spaces of mixed float widths; result upcast to 64-bit",
-        stacklevel=stacklevel + 1,
-    )
+def _summed(heads, tables, add, dtype=None) -> SemanticSpace:
+    """The sum of inputs whose config, label, float width and token total
+    are those of the space ``heads[k]`` and whose sorted terms are
+    ``tables[k]``.  The union of the tables is allocated once, zeroed; then,
+    in argument order, each input's config is checked against the first's
+    (CombineMismatchError) and ``add(k, out, rows)`` adds its rows into
+    ``out``'s ``rows``.  Labels join with ``+`` and token totals add.  The
+    sum is in the inputs' float width, or in 64-bit with a warning if widths
+    mix; an explicit ``dtype`` sets the width without a warning."""
+    if not heads:
+        raise ConfigError("combine needs at least one space")
+    first = heads[0]
+    if dtype is None:
+        dtype = first.float_dtype
+        if any(head.float_dtype != dtype for head in heads):
+            warnings.warn("combining spaces of mixed float widths; result upcast to 64-bit",
+                          stacklevel=3)
+            dtype = np.dtype(np.float64)
+    terms = np.unique(np.concatenate(tables))
+    out = SemanticSpace.empty(first.config, "+".join(head.epoch_label for head in heads),
+                              float_dtype=dtype)
+    shape = (len(terms), first.config.dim)
+    out.set_rows(terms, np.zeros(len(terms), dtype=np.int64),
+                 np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+    for k, (head, table) in enumerate(zip(heads, tables)):
+        ensure_same_config([first, head])
+        add(k, out, np.searchsorted(terms, table))
+    out.ingested_tokens = sum(head.ingested_tokens for head in heads)
+    return out
+
+
+def _add_rows(spaces):
+    """A ``_summed`` adder of in-memory ``spaces``."""
+    def add(k, out, rows):
+        out.counts[rows] += spaces[k].counts
+        out.context[rows] += spaces[k].context
+        out.order[rows] += spaces[k].order
+    return add
 
 
 def combine(spaces) -> SemanticSpace:
-    """Componentwise sum of spaces sharing one config.
-
-    ``spaces`` may be any iterable; it is folded in order and each input
-    can be released once it has been added, so a generator of loads holds
-    one input at a time.  The result's vocabulary is the union of the
-    inputs', grown as inputs bring new terms (``persistence.combine_files``
-    sums files into a result allocated once).  Counts and token totals add
-    exactly; vectors add in the argument order, so the result is bitwise
-    deterministic for a fixed input order.  Mixing 32- and 64-bit spaces
-    upcasts the result to 64-bit with a warning, from the first input whose
-    width differs from the first input's: 32-bit inputs before it are summed
-    in 32-bit.  Widen every input first (``SemanticSpace.widen``) to sum all
-    of them in 64-bit.
-    """
-    out = None
-    labels = []
-    mixed = False
-    for space in spaces:
-        if out is None:
-            # Labelled like the first input until the fold ends, so that
-            # a config mismatch names it.
-            out = SemanticSpace.empty(space.config, space.epoch_label,
-                                      float_dtype=space.float_dtype)
-        ensure_same_config([out, space])
-        if space.float_dtype != out.float_dtype and not mixed:
-            mixed = True
-            warn_mixed_widths()
-            out.widen()
-        labels.append(space.epoch_label)
-        out._add(space.terms, space.counts, space.context, space.order)
-        out.ingested_tokens += space.ingested_tokens
-    if out is None:
-        raise ConfigError("combine needs at least one space")
-    out.epoch_label = "+".join(labels)
-    return out
+    """Componentwise sum of spaces sharing one config, over the union of
+    their vocabularies.  Counts and token totals add exactly; each row adds
+    its inputs in argument order, so the bits are fixed by that order.  Mixed
+    32- and 64-bit inputs are all summed in 64-bit, with a warning.  Every
+    input is held at once; ``persistence.combine_files`` is the streaming
+    path, into the same bytes."""
+    spaces = list(spaces)
+    return _summed(spaces, [space.terms for space in spaces], _add_rows(spaces))
 
 
 def norm_frequency_series(epoch_spaces, term: str) -> list:

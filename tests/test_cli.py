@@ -369,6 +369,7 @@ class TestCombineStreams:
         "64-bit": [("a", 64), ("b", 64), ("c", 64)],
         "32-bit": [("a", 32), ("b", 32)],
         "mixed widths": [("a", 32), ("b", 64), ("c", 32)],
+        "mixed widths, 64-bit first": [("a", 64), ("b", 32), ("c", 32)],
         "inverse_log_frequency": [("wa", 64), ("wb", 64)],
         "disjoint vocabularies": [("c", 64), ("a", 64)],
         "an empty space": [("a", 64), ("void", 64), ("b", 64)],
@@ -389,17 +390,16 @@ class TestCombineStreams:
                                                 float_width=width))
         mixed = len({width for _, width in inputs}) > 1
         loaded = [load_space(path) for path in paths]
-        expected = persistence.save_space(
-            combine([space.widen() for space in loaded] if mixed else loaded),
-            tmp_path / "expected.space").read_bytes()
         # Chunks of one row, of a few rows, and whole sections.
         monkeypatch.setattr(persistence, "_CHUNK", chunk)
         out = tmp_path / "total.space"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            expected = persistence.save_space(combine(loaded), tmp_path / "expected.space")
             assert cli.main(_combine_argv(paths, out)) == cli.EXIT_OK
-        assert [str(w.message) for w in caught] == ([_MIXED_WARNING] if mixed else [])
-        assert out.read_bytes() == expected
+        # The library and the command warn alike.
+        assert [str(w.message) for w in caught] == ([_MIXED_WARNING] * 2 if mixed else [])
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_no_inputs_is_exit_2(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="at least one space"):
@@ -1163,6 +1163,55 @@ class TestConfigFile:
              "--out", str(tmp_path / "run"), "--config", str(conf)]
         )
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, line", [
+        ("build", "dim=abc"),
+        ("build", "top_k=abc"),
+        ("build", "workers=abc"),
+        ("build", "window=7.0"),
+        ("build", "float_width=16"),
+        ("build", "compaction=maybe"),
+        ("neighbors", "top_n=abc"),
+        ("neighbors", "min_count=abc"),
+        ("neighbors", "include_self=maybe"),
+        ("neighbors", "dim=abc"),  # a key without a flag here converts as build's
+        ("neighbors", "func=cmd_build"),
+        ("normfreq", "spaces= , "),
+    ])
+    def test_a_value_of_the_wrong_type_is_exit_2(self, corpus_root, built, tmp_path, capsys,
+                                                 command, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"# the first line\n{line}\n", encoding="utf-8")
+        out = tmp_path / "run"
+        argv = {
+            "build": ["build", "--corpus", str(corpus_root), *BUILD_FLAGS],
+            "neighbors": ["neighbors", "gizmo", "--space", str(built / "e1.space")],
+            "normfreq": ["normfreq", "gizmo", "--spaces", str(built / "e1.space")],
+        }[command]
+        assert cli.main([*argv, "--out", str(out), "--config", str(conf)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {conf}:2: ")
+        assert line.partition("=")[0] in err
+        assert not out.exists()
+
+    def test_values_convert_as_their_flags_take_them(self, built, tmp_path):
+        conf = tmp_path / "neighbors.conf"
+        conf.write_text("include_self = yes\ntop_n = 1\nmin_count = 0\n", encoding="utf-8")
+        out = tmp_path / "neighbors"
+        code = cli.main(["neighbors", "gizmo", "--space", str(built / "e1.space"),
+                         "--out", str(out), "--format", "tsv", "--config", str(conf)])
+        assert code == cli.EXIT_OK
+        rows = (out / "report.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split("\t")[1] for row in rows] == ["gizmo"]
+        # A flag of many values takes a comma-separated list.
+        conf = tmp_path / "normfreq.conf"
+        spaces = ", ".join(str(built / name) for name in ("e1.space", "e2.space"))
+        conf.write_text(f"spaces = {spaces}\n", encoding="utf-8")
+        out = tmp_path / "normfreq"
+        code = cli.main(["normfreq", "gizmo", "--spaces", str(built / "e1.space"),
+                         "--out", str(out), "--format", "tsv", "--config", str(conf)])
+        assert code == cli.EXIT_OK
+        assert len((out / "report.tsv").read_text(encoding="utf-8").splitlines()) == 3
 
     def test_config_file_that_is_not_utf8_is_exit_3(self, built, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -148,7 +148,7 @@ class TestFloatWidth:
     def test_ingest_keeps_a_loaded_float32_width(self, space, tmp_path):
         narrow = load_space(save_space(space, tmp_path / "narrow.space", float_width=32))
         assert "fresh" not in narrow and "v00" in narrow
-        narrow.ingest_sentence(["fresh", "v00"])
+        _assert_ingest_rounds_once(narrow, [["fresh", "v00"]])
         assert "fresh" in narrow
         assert narrow.context.dtype == np.float32
         assert narrow.order.dtype == np.float32
@@ -156,6 +156,17 @@ class TestFloatWidth:
         reloaded = load_space(first)
         assert reloaded == narrow
         assert save_space(reloaded, tmp_path / "third.space").read_bytes() == first.read_bytes()
+
+    def test_weighted_ingest_into_float32_rounds_once(self):
+        # Weighted seeds are not all 32-bit floats, so a 32-bit sum of the
+        # rounded rows would differ from the one rounding of the 64-bit sum.
+        config = SpaceConfig(dim=32, window=5, weighting="inverse_log_frequency")
+        vocab = [f"v{i:02d}" for i in range(12)]
+        weights = {term: 1.0 / np.log1p(k + 2) for k, term in enumerate(vocab)}
+        narrow = SemanticSpace(config, "n", term_weights=weights, float_dtype=np.float32)
+        rng = random.Random(74)
+        narrow.ingest_sentences(random_sentences(rng, vocab[:8], 30))
+        _assert_ingest_rounds_once(narrow, random_sentences(rng, vocab[4:], 30), weights)
 
     def test_weighted_space_loads_but_refuses_ingest(self, tmp_path):
         config = SpaceConfig(dim=32, window=5, weighting="inverse_log_frequency")
@@ -188,17 +199,18 @@ class TestFloatWidth:
         ]
         return paths, [load_space(path) for path in paths]
 
-    def test_mixed_width_fold_widens_at_first_change(self, space, tmp_path):
+    def test_mixed_width_combine_sums_every_input_in_64_bit(self, space, tmp_path):
         _, (n1, n2, wide) = self._mixed_inputs(space, tmp_path)
         with pytest.warns(UserWarning, match="mixed float widths"):
             merged = combine(iter([n1, n2, wide]))
+        assert merged.float_dtype == np.dtype(np.float64)
         for term in merged.terms.tolist():
-            narrow_sum = np.zeros(CFG.dim, dtype=np.float32)
-            for part in (n1, n2):
-                if term in part:
-                    narrow_sum += part.term_vector(term)
-            expected = narrow_sum.astype(np.float64) + wide.term_vector(term)
-            assert np.array_equal(merged.term_vector(term), expected)
+            for kind in ("context", "order"):
+                expected = np.zeros(CFG.dim)
+                for part in (n1, n2, wide):
+                    if term in part:
+                        expected += part.term_vector(term, kind=kind)
+                assert merged.term_vector(term, kind=kind).tobytes() == expected.tobytes()
 
     def test_cli_combine_sums_mixed_widths_in_64_bit(self, space, tmp_path):
         from driftspace import cli
@@ -216,7 +228,8 @@ class TestFloatWidth:
                 if term in part:
                     expected += part.term_vector(term)
             assert np.array_equal(merged.term_vector(term), expected)
-        assert merged == combine([part.widen() for part in inputs])
+        with pytest.warns(UserWarning, match="mixed float widths"):
+            assert merged == combine(inputs)
 
     def test_read_table_matches_load_space(self, space, tmp_path):
         path = save_space(space, tmp_path / "n.space", float_width=32)
@@ -235,6 +248,21 @@ class TestFloatWidth:
     def test_bad_width_rejected(self, space, tmp_path):
         with pytest.raises(ConfigError):
             save_space(space, tmp_path / "x.space", float_width=16)
+
+
+def _assert_ingest_rounds_once(narrow, sentences, weights=None):
+    """Ingest ``sentences`` into the 32-bit ``narrow`` and check that each
+    row is its old row plus the kernel's 64-bit rows, rounded once."""
+    old = {term: (narrow.context[k].copy(), narrow.order[k].copy())
+           for k, term in enumerate(narrow.terms.tolist())}
+    part = build_space(narrow.config, "part", sentences, weights=weights)
+    narrow.ingest_sentences(sentences)
+    zero = np.zeros(narrow.config.dim, dtype=np.float32)
+    for term in narrow.terms.tolist():
+        for kind, before in zip(("context", "order"), old.get(term, (zero, zero))):
+            added = part.term_vector(term, kind=kind) if term in part else 0.0
+            expected = (before.astype(np.float64) + added).astype(np.float32)
+            assert narrow.term_vector(term, kind=kind).tobytes() == expected.tobytes()
 
 
 def _flip_byte(data: bytes, index: int) -> bytes:
