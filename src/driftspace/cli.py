@@ -4,12 +4,14 @@
 per-epoch space files: it tokenizes every file once into integer ids,
 counts the vocabulary to fix the filter, then accumulates each epoch from
 its pair counts and writes it; with --workers a process pool shares out
-files, then whole epochs.  The analysis
-commands load space files, run one analysis, print the rendered report to
-stdout and write it plus the resolved configuration under --out.
+files, then whole epochs.  The analysis commands load space files, run one
+analysis, print the rendered report to stdout and write it under --out.
 
-Every command is a pure function of its inputs: rerunning with identical
-flags and files produces identical bytes.
+The parser is the one record of a command's settings (``SpaceConfig``
+gives the space flags their defaults).  Every run writes the values it
+used to ``config.txt`` in its output directory, in the ``key=value`` form
+that ``--config`` reads back.  Every command is a pure function of its
+inputs: rerunning with identical flags and files produces identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from .errors import (
     TermNotFoundError,
 )
 from .space import (
+    WEIGHTINGS,
     SemanticSpace,
     SpaceConfig,
     combine,  # noqa: F401 - unused here; bench/tracing.py hooks cli.combine
@@ -51,61 +54,6 @@ EXIT_MISSING = 3
 EXIT_NOT_FOUND = 4
 
 WORKERS_ENV = "DRIFTSPACE_WORKERS"
-
-DEFAULT_ORDER_SPAN = 2
-
-
-@dataclass
-class RunConfig:
-    """Resolved knobs for one run; flags mirror these field names.
-
-    A --config file (key=value lines, # comments) overrides flags; the
-    fully resolved values are copied to config.txt in the run directory.
-    """
-
-    corpus_root: str | None = None
-    epochs: str | None = None  # comma-separated epoch labels; None = all
-    dim: int = 300
-    window: int = 11
-    order_span: int | None = None  # None = min(2, (window-1)/2)
-    global_seed: int = 1
-    perm_seed: int = 2
-    weighting: str = "uniform"
-    compaction: bool = True
-    docs_per_line: bool = False
-    float_width: int = 64
-    top_k: int = 100
-    min_count: int = 5
-    workers: int | None = None  # None = $DRIFTSPACE_WORKERS or 1
-    r_size: int = 200
-    top_n: int = 5
-    min_total_count: int = 1500
-    thresholds: str = "0.70,0.35,0.15"
-    format: str = "pretty"
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        values = {}
-        for f in fields(cls):
-            if hasattr(ns, f.name) and getattr(ns, f.name) is not None:
-                values[f.name] = getattr(ns, f.name)
-        return cls(**values)
-
-    def resolved_order_span(self) -> int:
-        if self.order_span is not None:
-            return self.order_span
-        return min(DEFAULT_ORDER_SPAN, (self.window - 1) // 2)
-
-    def space_config(self) -> SpaceConfig:
-        return SpaceConfig(
-            dim=self.dim,
-            window=self.window,
-            order_span=self.resolved_order_span(),
-            global_seed=self.global_seed,
-            perm_seed=self.perm_seed,
-            weighting=self.weighting,
-            compaction=self.compaction,
-        )
 
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
@@ -131,54 +79,62 @@ def _config_value(action, text: str, where: str):
     raise ConfigError(f"{where}invalid value for {action.dest}: {text!r}")
 
 
-_RUNCONFIG_KEYS = {f.name for f in fields(RunConfig)}
-
-
 def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    path = getattr(ns, "config", None)
-    if not path:
+    """Set ``ns`` from the --config file's ``key = value`` lines.
+
+    A key is any command's flag dest.  This command's flag converts the
+    value; a key it has no flag for converts as another command's flag of
+    that name, so one file can serve several commands.  A ``command`` line,
+    as config.txt starts with, must name this command."""
+    if not ns.config:
         return
-    path = Path(path)
+    path = Path(ns.config)
     if not path.is_file():
         raise MissingDataError(f"config file not found: {path}")
     (commands,) = [action.choices for action in parser._actions
                    if isinstance(action, argparse._SubParsersAction)]
-    own = {action.dest: action for action in commands[ns.command]._actions}
-    # A RunConfig key this command has no flag for converts as the other
-    # commands' flag of that name does.
     flags = {action.dest: action for sub in commands.values() for action in sub._actions}
-    flags.update(own)
+    flags.update((action.dest, action) for action in commands[ns.command]._actions)
+    del flags["help"], flags["config"]
     for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        where = f"{path}:{lineno}: "
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{where}expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _RUNCONFIG_KEYS and key not in own:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        setattr(ns, key, _config_value(flags[key], raw.strip(), f"{path}:{lineno}: "))
+        key, raw = key.strip(), raw.strip()
+        if key == "command":
+            if raw != ns.command:
+                raise ConfigError(f"{where}this file is for command {raw!r}, not {ns.command!r}")
+            continue
+        if key not in flags:
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        setattr(ns, key, _config_value(flags[key], raw, where))
 
 
 def _write_run_config(out_dir: Path, ns: argparse.Namespace) -> None:
+    """config.txt: the command, then every set value but the run directory,
+    in the form --config reads back."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"command={ns.command}"]
-    for key in sorted(vars(ns)):
-        if key in ("func", "command", "config"):
+    for key, value in sorted(vars(ns).items()):
+        if key in ("func", "command", "config", "out") or value is None:
             continue
-        value = getattr(ns, key)
         if isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key}={value}")
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _csv(text) -> list | None:
-    if text is None:
-        return None
-    items = [piece.strip() for piece in str(text).split(",")]
-    return list(dict.fromkeys(item for item in items if item))
+def _csv(text: str, flag: str) -> list:
+    """The distinct items of the comma-separated value of ``flag``."""
+    items = [piece.strip() for piece in text.split(",")]
+    items = list(dict.fromkeys(item for item in items if item))
+    if not items:
+        raise ConfigError(f"{flag} lists no values, got {text!r}")
+    return items
 
 
 def _parse_thresholds(text: str):
@@ -216,13 +172,15 @@ def _normalize_term(raw: str, where: str = "") -> str:
 
 
 def _resolve_workers(ns: argparse.Namespace) -> int:
-    workers = getattr(ns, "workers", None)
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        workers = int(env) if env else 1
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
+    """--workers, else $DRIFTSPACE_WORKERS, else 1."""
+    if ns.workers is None:
+        env = os.environ.get(WORKERS_ENV) or "1"
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
+        return int(env)
+    if ns.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {ns.workers}")
+    return ns.workers
 
 
 def _emit(ns: argparse.Namespace, report) -> int:
@@ -283,12 +241,14 @@ def _ordered_map(pool, workers, fn, tasks):
 
 
 def cmd_build(ns: argparse.Namespace) -> int:
-    run = RunConfig.from_namespace(ns)
-    config = run.space_config()
+    # The resolved values go back into ``ns``, so config.txt records them.
+    if ns.order_span is None:
+        ns.order_span = min(SpaceConfig.order_span, (ns.window - 1) // 2)
+    config = SpaceConfig(**{f.name: getattr(ns, f.name) for f in fields(SpaceConfig)})
     root = Path(ns.corpus_root)
-    labels = _csv(ns.epochs) or corpus.epoch_labels(root)
+    labels = _csv(ns.epochs, "--epochs") if ns.epochs else corpus.epoch_labels(root)
     epoch_files = {label: corpus.list_epoch_files(root, label) for label in labels}
-    workers = _resolve_workers(ns)
+    ns.workers = workers = _resolve_workers(ns)
     out_dir = Path(ns.out)
 
     # One pool per build: it tokenizes files, then accumulates and saves
@@ -306,7 +266,7 @@ def cmd_build(ns: argparse.Namespace) -> int:
         file_lengths = [f.lengths for f in files]
         del files  # the per-file vocabularies are merged into ``terms``
         stats = corpus.count_ids(terms, file_ids)
-        filt = corpus.build_filter(stats, top_k=run.top_k, min_count=run.min_count)
+        filt = corpus.build_filter(stats, top_k=ns.top_k, min_count=ns.min_count)
         if not filt.retained:
             raise ConfigError(
                 "the vocabulary filter retains no terms; lower min_count or top_k"
@@ -336,7 +296,7 @@ def cmd_build(ns: argparse.Namespace) -> int:
                 local = np.where(ids >= 0, np.searchsorted(present, ids), -1)
                 yield (config, label, [retained[k] for k in present], local,
                        sentence_ids, seeds[present], out_dir / f"{label}.space",
-                       run.float_width)
+                       ns.float_width)
 
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, n_terms, n_tokens in _ordered_map(pool, workers, _build_epoch,
@@ -388,7 +348,7 @@ def cmd_drift(ns: argparse.Namespace) -> int:
         top_n=ns.top_n,
         thresholds=_parse_thresholds(ns.thresholds),
         exclude=exclude,
-        terms=[_normalize_term(t) for t in _csv(ns.terms)] if ns.terms else None,
+        terms=[_normalize_term(t) for t in _csv(ns.terms, "--terms")] if ns.terms else None,
     )
     return _emit(ns, report)
 
@@ -409,7 +369,7 @@ def cmd_bias(ns: argparse.Namespace) -> int:
                     f"period {ns.period!r} selects no epochs from {labels}"
                 )
         else:
-            period = _csv(ns.period)
+            period = _csv(ns.period, "--period")
     report = diachronic.qualifier_gender(
         epochs, qualifiers, man_terms, woman_terms, period=period
     )
@@ -478,11 +438,7 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
     config = space.config
     print(f"epoch_label={space.epoch_label}")
     print(f"terms={len(space)} ingested_tokens={space.ingested_tokens}")
-    print(
-        f"dim={config.dim} window={config.window} order_span={config.order_span} "
-        f"global_seed={config.global_seed} perm_seed={config.perm_seed} "
-        f"weighting={config.weighting} compaction={config.compaction}"
-    )
+    print(" ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config)))
     if ns.tsv:
         path = persistence.write_space_tsv(space, ns.tsv)
         print(f"wrote {path}")
@@ -494,7 +450,6 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
 def _add_report_flags(sub, default_top_n=None):
     sub.add_argument("--out", required=True, help="run directory for report + config")
     sub.add_argument("--format", choices=reports.FORMATS, default="pretty")
-    sub.add_argument("--config", help="key=value file; overrides flags")
     if default_top_n is not None:
         sub.add_argument("--top-n", type=int, default=default_top_n)
 
@@ -513,15 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--corpus", dest="corpus_root", required=True)
     build.add_argument("--epochs", help="comma-separated epoch labels (default: all)")
     build.add_argument("--out", required=True)
-    build.add_argument("--dim", type=int, default=300)
-    build.add_argument("--window", type=int, default=11)
+    build.add_argument("--dim", type=int, default=SpaceConfig.dim)
+    build.add_argument("--window", type=int, default=SpaceConfig.window)
     build.add_argument("--order-span", type=int, default=None,
-                       help="default: min(2, (window-1)/2)")
-    build.add_argument("--global-seed", type=int, default=1)
-    build.add_argument("--perm-seed", type=int, default=2)
-    build.add_argument("--weighting", choices=("uniform", "inverse_log_frequency"),
-                       default="uniform")
+                       help=f"default: min({SpaceConfig.order_span}, (window-1)/2)")
+    build.add_argument("--global-seed", type=int, default=SpaceConfig.global_seed)
+    build.add_argument("--perm-seed", type=int, default=SpaceConfig.perm_seed)
+    build.add_argument("--weighting", choices=WEIGHTINGS, default=SpaceConfig.weighting)
     build.add_argument("--no-compaction", dest="compaction", action="store_false",
+                       default=SpaceConfig.compaction,
                        help="keep holes where filtered tokens were")
     build.add_argument("--docs-per-line", action="store_true",
                        help="treat each line of each file as one document")
@@ -531,13 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--float-width", type=int, choices=(32, 64), default=64)
     build.add_argument("--workers", type=int, default=None,
                        help=f"parallel ingestion workers (default ${WORKERS_ENV} or 1)")
-    build.add_argument("--config", help="key=value file; overrides flags")
     build.set_defaults(func=cmd_build)
 
     comb = sub.add_parser("combine", help="sum spaces built under one config")
     comb.add_argument("spaces", nargs="+")
     comb.add_argument("--out", required=True, help="output space file")
-    comb.add_argument("--config", help="key=value file; overrides flags")
     comb.set_defaults(func=cmd_combine)
 
     traj = sub.add_parser("trajectory", help="per-epoch neighbor trajectory of a term")
@@ -605,9 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = sub.add_parser("inspect", help="print a space file's header; export TSV")
     inspect.add_argument("space")
     inspect.add_argument("--tsv", help="write term/count/squared-norm TSV here")
-    inspect.add_argument("--config", help="key=value file; overrides flags")
     inspect.set_defaults(func=cmd_inspect)
 
+    for command in sub.choices.values():
+        command.add_argument("--config", help="key=value file, such as a run's "
+                             "config.txt; overrides flags")
     return parser
 
 

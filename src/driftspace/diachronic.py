@@ -223,6 +223,8 @@ def qualifier_gender(epoch_spaces, qualifiers, man_terms, woman_terms,
     """
     if not qualifiers or not man_terms or not woman_terms:
         raise ConfigError("qualifiers, man_terms and woman_terms must be non-empty")
+    if period is not None and not period:
+        raise ConfigError("period must name at least one epoch")
     qualifiers = list(dict.fromkeys(qualifiers))
     spaces = _labeled_spaces(epoch_spaces)
     if period is None:

@@ -157,6 +157,19 @@ class TestBuild:
         )
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+    def test_a_bad_workers_env_variable_is_exit_2(self, corpus_root, tmp_path, monkeypatch,
+                                                  capsys, value):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+        out = tmp_path / "env"
+        code = cli.main(
+            ["build", "--corpus", str(corpus_root), "--out", str(out)] + BUILD_FLAGS
+        )
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cli.WORKERS_ENV} must be an integer >= 1")
+        assert not out.exists()
+
     def test_epoch_subset(self, corpus_root, tmp_path):
         out = tmp_path / "subset"
         code = cli.main(
@@ -872,6 +885,8 @@ class TestReportsCommands:
         assert "epoch_label=e1" in out
         assert "dim=64" in out
         assert tsv.read_text(encoding="utf-8").startswith("term\tcount\t")
+        assert out.splitlines()[2] == ("dim=64 window=5 order_span=2 global_seed=3 perm_seed=4 "
+                                       "weighting=uniform compaction=True")
 
 
 # Each analysis command with a term argument, as argv around the term.
@@ -1176,6 +1191,9 @@ class TestConfigFile:
         ("neighbors", "include_self=maybe"),
         ("neighbors", "dim=abc"),  # a key without a flag here converts as build's
         ("neighbors", "func=cmd_build"),
+        ("neighbors", "help=yes"),
+        ("neighbors", "config=other.conf"),
+        ("neighbors", "command=build"),  # config.txt's first line, of another command
         ("normfreq", "spaces= , "),
     ])
     def test_a_value_of_the_wrong_type_is_exit_2(self, corpus_root, built, tmp_path, capsys,
@@ -1232,6 +1250,42 @@ class TestConfigFile:
         )
         assert code == cli.EXIT_MISSING
 
+    def test_a_build_fed_its_config_txt_writes_the_same_bytes(self, corpus_root, built,
+                                                                tmp_path):
+        out = tmp_path / "again"
+        code = cli.main(["build", "--corpus", str(corpus_root), "--out", str(out),
+                         "--config", str(built / "config.txt")])
+        assert code == cli.EXIT_OK
+        for name in ("e1.space", "e2.space", "vocabulary.tsv", "config.txt"):
+            assert (out / name).read_bytes() == (built / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "command", ["neighbors", "predict", "trajectory", "drift", "bias", "equiv", "normfreq"])
+    def test_an_analysis_fed_its_config_txt_writes_the_same_report(self, command, built,
+                                                                     total_space, tmp_path):
+        argv = _analysis_argv(command, built, total_space, tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(argv + ["--out", str(first), "--format", "tsv"]) == cli.EXIT_OK
+        code = cli.main(argv + ["--out", str(second), "--config", str(first / "config.txt")])
+        assert code == cli.EXIT_OK
+        for name in ("report.tsv", "config.txt"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_one_file_serves_build_and_neighbors(self, corpus_root, tmp_path):
+        conf = tmp_path / "shared.conf"
+        conf.write_text("dim = 64\ntop_n = 3\nr_size = 10\n", encoding="utf-8")
+        out = tmp_path / "build"
+        code = cli.main(["build", "--corpus", str(corpus_root), "--out", str(out),
+                         "--window", "5", "--top-k", "0", "--min-count", "1",
+                         "--config", str(conf)])
+        assert code == cli.EXIT_OK
+        assert load_space(out / "e1.space").config.dim == 64
+        run = tmp_path / "neighbors"
+        code = cli.main(["neighbors", "gizmo", "--space", str(out / "e1.space"),
+                         "--out", str(run), "--format", "tsv", "--config", str(conf)])
+        assert code == cli.EXIT_OK
+        assert len((run / "report.tsv").read_text(encoding="utf-8").splitlines()) == 4
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -1245,3 +1299,14 @@ class TestUsageErrors:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("build", "--epochs"), ("drift", "--terms"), ("bias", "--period")])
+    def test_an_empty_comma_list_is_exit_2(self, corpus_root, built, tmp_path, capsys,
+                                           command, flag):
+        argv = (["build", "--corpus", str(corpus_root), *BUILD_FLAGS] if command == "build"
+                else _analysis_argv(command, built, None, tmp_path))
+        out = tmp_path / "run"
+        assert cli.main([*argv, "--out", str(out), flag, " , "]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {flag} lists no values")
+        assert not out.exists()

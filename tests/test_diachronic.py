@@ -364,6 +364,11 @@ class TestQualifierGender:
         assert report.female_qualifiers == []
         assert sorted(report.male_qualifiers) == sorted(quals)
 
+    def test_an_empty_period_is_a_config_error(self, planted):
+        spaces, male_quals, _ = planted
+        with pytest.raises(ConfigError, match="period"):
+            qualifier_gender(spaces, male_quals, MAN_TERMS, WOMAN_TERMS, period=[])
+
     def test_year_without_one_side_casts_no_vote(self):
         years, male_quals, _ = gendered_years(
             n_years=1, male_quals=["mq0"], female_quals=["fq0"],
