@@ -7,15 +7,7 @@ qualifier attribution, cross-epoch equivalents, and positional prediction
 from permutation-tagged order vectors.
 """
 
-from .corpus import (
-    Document,
-    VocabularyFilter,
-    VocabularyStats,
-    build_filter,
-    count_vocabulary,
-    filtered_stream,
-    tokenize,
-)
+from .corpus import build_filter, tokenize
 from .diachronic import (
     DriftRecord,
     DriftReport,
@@ -66,7 +58,6 @@ __all__ = [
     "ChecksumError",
     "CombineMismatchError",
     "ConfigError",
-    "Document",
     "DriftRecord",
     "DriftReport",
     "DriftspaceError",
@@ -84,17 +75,13 @@ __all__ = [
     "TruncatedFileError",
     "UndefinedSimilarityError",
     "VersionMismatchError",
-    "VocabularyFilter",
-    "VocabularyStats",
     "apply_permutation",
     "build_filter",
     "combine",
     "combine_files",
     "cosine",
-    "count_vocabulary",
     "drift",
     "equivalents",
-    "filtered_stream",
     "inverse_log_weights",
     "load_space",
     "load_spaces",

@@ -62,16 +62,17 @@ _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
 
 def _config_value(action, text: str, where: str):
     """``text`` as the flag ``action`` takes it: a boolean for a store_true
-    or store_false flag, a comma-separated list (as config.txt writes it)
-    for a flag of many values, else converted by the flag's type and checked
-    against its choices."""
+    or store_false flag, else converted by the flag's type (item by item of
+    a comma-separated list, as config.txt writes it, for a flag of many
+    values) and checked against its choices."""
+    convert = action.type or str
     try:
         if action.nargs == 0:
             return _BOOLEANS[text.lower()]
         if action.nargs == "+":
-            value = [piece.strip() for piece in text.split(",") if piece.strip()] or None
+            value = [convert(piece.strip()) for piece in text.split(",") if piece.strip()] or None
         else:
-            value = text if action.type is None else action.type(text)
+            value = convert(text)
         if value is not None and (action.choices is None or value in action.choices):
             return value
     except (KeyError, ValueError):
@@ -213,7 +214,7 @@ def _build_epoch(task):
     """Accumulate one epoch from its id stream and save it; runs in a pool
     worker or in-process, and returns what the build prints."""
     config, label, terms, ids, sentence_ids, seeds, path, float_width = task
-    space = SemanticSpace.empty(config, label)
+    space = SemanticSpace(config, label)
     space.ingest_ids(terms, ids, sentence_ids, seeds)
     persistence.save_space(space, path, float_width=float_width)
     return path, len(space), space.ingested_tokens
@@ -265,16 +266,14 @@ def cmd_build(ns: argparse.Namespace) -> int:
         terms, file_ids = corpus.merge_vocabularies(files)
         file_lengths = [f.lengths for f in files]
         del files  # the per-file vocabularies are merged into ``terms``
-        stats = corpus.count_ids(terms, file_ids)
-        filt = corpus.build_filter(stats, top_k=ns.top_k, min_count=ns.min_count)
-        if not filt.retained:
-            raise ConfigError(
-                "the vocabulary filter retains no terms; lower min_count or top_k"
-            )
-        retained, retained_index = corpus.retained_ids(terms, filt)
+        counts = corpus.count_ids(terms, file_ids)
+        retained, retained_index = corpus.build_filter(terms, counts, ns.top_k, ns.min_count)
+        if not len(retained):
+            raise ConfigError("the vocabulary filter retains no terms; lower min_count or top_k")
         weights = None
         if config.weighting == "inverse_log_frequency":
-            weights = inverse_log_weights(stats.counts)
+            # The vocabulary ids of rows 0, 1, ... of ``retained`` sort after the -1s.
+            weights = inverse_log_weights(counts[np.argsort(retained_index)[-len(retained):]])
         seeds = seed_matrix(retained, config, weights)
 
         def epoch_tasks():
@@ -291,10 +290,11 @@ def cmd_build(ns: argparse.Namespace) -> int:
                 file_ids[first:last] = [None] * (last - first)
                 file_lengths[first:last] = [None] * (last - first)
                 first = last
-                # Only the epoch's own terms, renumbered 0..n-1.
+                # Only the epoch's own terms, renumbered 0..n-1; as a list, since
+                # a str array pickles every term at the longest one's width.
                 present = np.unique(ids[ids >= 0])
                 local = np.where(ids >= 0, np.searchsorted(present, ids), -1)
-                yield (config, label, [retained[k] for k in present], local,
+                yield (config, label, retained[present].tolist(), local,
                        sentence_ids, seeds[present], out_dir / f"{label}.space",
                        ns.float_width)
 
@@ -302,12 +302,9 @@ def cmd_build(ns: argparse.Namespace) -> int:
         for path, n_terms, n_tokens in _ordered_map(pool, workers, _build_epoch,
                                                     epoch_tasks()):
             print(f"{path}: {n_terms} terms, {n_tokens} retained tokens")
-    corpus.write_stats_tsv(stats, out_dir / "vocabulary.tsv")
+    corpus.write_stats_tsv(terms, counts, out_dir / "vocabulary.tsv")
     _write_run_config(out_dir, ns)
-    print(
-        f"vocabulary: {stats.distinct_terms} distinct terms, "
-        f"{len(filt.retained)} retained after filtering"
-    )
+    print(f"vocabulary: {len(terms)} distinct terms, {len(retained)} retained after filtering")
     return EXIT_OK
 
 
@@ -447,6 +444,10 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+# Input paths are made absolute, so config.txt records where the inputs are.
+_path = os.path.abspath
+
+
 def _add_report_flags(sub, default_top_n=None):
     sub.add_argument("--out", required=True, help="run directory for report + config")
     sub.add_argument("--format", choices=reports.FORMATS, default="pretty")
@@ -454,7 +455,9 @@ def _add_report_flags(sub, default_top_n=None):
         sub.add_argument("--top-n", type=int, default=default_top_n)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; runs and --config files set only namespaces."""
     parser = argparse.ArgumentParser(
         prog="driftspace",
         description=(
@@ -465,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="build per-epoch space files from a corpus tree")
-    build.add_argument("--corpus", dest="corpus_root", required=True)
+    build.add_argument("--corpus", dest="corpus_root", type=_path, required=True)
     build.add_argument("--epochs", help="comma-separated epoch labels (default: all)")
     build.add_argument("--out", required=True)
     build.add_argument("--dim", type=int, default=SpaceConfig.dim)
@@ -489,36 +492,38 @@ def build_parser() -> argparse.ArgumentParser:
     build.set_defaults(func=cmd_build)
 
     comb = sub.add_parser("combine", help="sum spaces built under one config")
-    comb.add_argument("spaces", nargs="+")
+    comb.add_argument("spaces", nargs="+", type=_path)
     comb.add_argument("--out", required=True, help="output space file")
     comb.set_defaults(func=cmd_combine)
 
     traj = sub.add_parser("trajectory", help="per-epoch neighbor trajectory of a term")
     traj.add_argument("term")
-    traj.add_argument("--total", required=True, help="combined space file")
-    traj.add_argument("--spaces", nargs="+", required=True, help="per-epoch space files")
+    traj.add_argument("--total", type=_path, required=True, help="combined space file")
+    traj.add_argument("--spaces", nargs="+", type=_path, required=True,
+                      help="per-epoch space files")
     traj.add_argument("--r-size", type=int, default=200)
     traj.add_argument("--min-count", type=int, default=1)
-    traj.add_argument("--extra-terms", help="file of extra representative terms")
+    traj.add_argument("--extra-terms", type=_path, help="file of extra representative terms")
     _add_report_flags(traj, default_top_n=5)
     traj.set_defaults(func=cmd_trajectory)
 
     drift_cmd = sub.add_parser("drift", help="inter-period change ranking")
-    drift_cmd.add_argument("--space0", required=True)
-    drift_cmd.add_argument("--space1", required=True)
+    drift_cmd.add_argument("--space0", type=_path, required=True)
+    drift_cmd.add_argument("--space1", type=_path, required=True)
     drift_cmd.add_argument("--min-total-count", type=int, default=1500)
     drift_cmd.add_argument("--thresholds", default="0.70,0.35,0.15",
                            help="stable,moderate,fast boundaries")
-    drift_cmd.add_argument("--exclude-file", help="file of terms to skip")
+    drift_cmd.add_argument("--exclude-file", type=_path, help="file of terms to skip")
     drift_cmd.add_argument("--terms", help="comma-separated terms to restrict to")
     _add_report_flags(drift_cmd, default_top_n=15)
     drift_cmd.set_defaults(func=cmd_drift)
 
     bias = sub.add_parser("bias", help="gendered-qualifier attribution per year")
-    bias.add_argument("--spaces", nargs="+", required=True)
-    bias.add_argument("--qualifiers", required=True, help="file, one qualifier per line")
-    bias.add_argument("--man-terms", required=True)
-    bias.add_argument("--woman-terms", required=True)
+    bias.add_argument("--spaces", nargs="+", type=_path, required=True)
+    bias.add_argument("--qualifiers", type=_path, required=True,
+                      help="file, one qualifier per line")
+    bias.add_argument("--man-terms", type=_path, required=True)
+    bias.add_argument("--woman-terms", type=_path, required=True)
     bias.add_argument("--period", help="label range start:end or comma list")
     _add_report_flags(bias)
     bias.set_defaults(func=cmd_bias)
@@ -526,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     equiv = sub.add_parser("equiv", help="per-epoch equivalents of an anchor term")
     equiv.add_argument("term")
     equiv.add_argument("--anchor-epoch", required=True)
-    equiv.add_argument("--spaces", nargs="+", required=True)
+    equiv.add_argument("--spaces", nargs="+", type=_path, required=True)
     equiv.add_argument("--top-k", dest="equiv_top_k", type=int, default=2)
     equiv.add_argument("--min-count", type=int, default=1)
     equiv.add_argument("--exclude-self", action="store_true")
@@ -536,14 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="decode a term's positional neighbors")
     predict.add_argument("term")
     predict.add_argument("offset", type=int, help="position offset, e.g. 1 or -1")
-    predict.add_argument("--space", required=True)
+    predict.add_argument("--space", type=_path, required=True)
     predict.add_argument("--min-count", type=int, default=1)
     _add_report_flags(predict, default_top_n=5)
     predict.set_defaults(func=cmd_predict)
 
     neigh = sub.add_parser("neighbors", help="nearest neighbors of a term")
     neigh.add_argument("term")
-    neigh.add_argument("--space", required=True)
+    neigh.add_argument("--space", type=_path, required=True)
     neigh.add_argument("--min-count", type=int, default=1)
     neigh.add_argument("--include-self", action="store_true")
     _add_report_flags(neigh, default_top_n=20)
@@ -551,13 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     normfreq = sub.add_parser("normfreq", help="per-epoch count and squared norm")
     normfreq.add_argument("term")
-    normfreq.add_argument("--spaces", nargs="+", required=True)
+    normfreq.add_argument("--spaces", nargs="+", type=_path, required=True)
     _add_report_flags(normfreq)
     normfreq.set_defaults(func=cmd_normfreq)
 
     inspect = sub.add_parser("inspect", help="print a space file's header; export TSV")
-    inspect.add_argument("space")
-    inspect.add_argument("--tsv", help="write term/count/squared-norm TSV here")
+    inspect.add_argument("space", type=_path)
+    inspect.add_argument("--tsv", type=_path, help="write term/count/squared-norm TSV here")
     inspect.set_defaults(func=cmd_inspect)
 
     for command in sub.choices.values():

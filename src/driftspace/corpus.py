@@ -1,5 +1,7 @@
-"""Corpus handling: tokenization, per-epoch document streams, vocabulary
-counting and frequency filtering.
+"""Corpus handling, all over integer token ids: each file is tokenized
+once (``read_token_ids``), the files' vocabularies merge into one, terms
+are counted with ``bincount``, and the frequency filter maps each
+vocabulary id to its row among the retained terms, or -1.
 
 Corpus layout on disk: a root directory with one subdirectory per epoch
 (the directory name is the epoch label).  Each epoch directory holds UTF-8
@@ -10,10 +12,8 @@ document per line.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,93 +44,7 @@ def tokenize(raw_text: str) -> list[list[str]]:
     return sentences
 
 
-@dataclass
-class Document:
-    epoch_label: str
-    sentences: list[list[str]]
-
-
-@dataclass(frozen=True)
-class VocabularyStats:
-    """Term frequencies over a corpus slice or the whole corpus."""
-
-    counts: Counter
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def distinct_terms(self) -> int:
-        return len(self.counts)
-
-    def __add__(self, other: "VocabularyStats") -> "VocabularyStats":
-        return VocabularyStats(self.counts + other.counts)
-
-
-def count_vocabulary(docs: Iterable[Document]) -> VocabularyStats:
-    counts: Counter = Counter()
-    for doc in docs:
-        for sentence in doc.sentences:
-            counts.update(sentence)
-    return VocabularyStats(counts)
-
-
-@dataclass(frozen=True)
-class VocabularyFilter:
-    """Stop-set plus minimum-count retention predicate.
-
-    ``stop_set`` holds the ``top_k`` most frequent terms (ties at the
-    boundary broken lexicographically ascending); a term is retained iff
-    it is not a stop word and occurred at least ``min_count`` times.
-    """
-
-    stop_set: frozenset
-    min_count: int
-    top_k: int
-    retained: frozenset
-
-    def keeps(self, term: str) -> bool:
-        return term in self.retained
-
-
-def build_filter(stats: VocabularyStats, top_k: int = 100, min_count: int = 5) -> VocabularyFilter:
-    if top_k < 0:
-        raise ConfigError(f"top_k must be >= 0, got {top_k}")
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    ranked = sorted(stats.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    stop_set = frozenset(term for term, _ in ranked[:top_k])
-    retained = frozenset(
-        term
-        for term, count in stats.counts.items()
-        if term not in stop_set and count >= min_count
-    )
-    return VocabularyFilter(stop_set, min_count, top_k, retained)
-
-
-def filtered_stream(doc: Document, filt: VocabularyFilter, compact: bool = True):
-    """Sentences of ``doc`` with non-retained tokens removed.
-
-    With ``compact`` (the default) dropped tokens are deleted so the
-    survivors become adjacent.  With ``compact=False`` every dropped token
-    leaves a ``None`` hole, so surviving tokens keep their original window
-    offsets.  Sentences with no surviving token are omitted entirely.
-    """
-    out = []
-    for sentence in doc.sentences:
-        if compact:
-            kept = [t for t in sentence if filt.keeps(t)]
-            if kept:
-                out.append(kept)
-        else:
-            kept = [t if filt.keeps(t) else None for t in sentence]
-            if any(t is not None for t in kept):
-                out.append(kept)
-    return out
-
-
-def merge_vocabularies(files) -> tuple[list, list]:
+def merge_vocabularies(files) -> tuple[np.ndarray, list]:
     """One vocabulary for many ``TokenIds``: its terms in first-seen order,
     and each file's ids rewritten onto it."""
     index: dict = {}
@@ -138,35 +52,55 @@ def merge_vocabularies(files) -> tuple[list, list]:
     for f in files:
         lookup = np.array([index.setdefault(t, len(index)) for t in f.terms], dtype=np.int32)
         merged.append(lookup[f.ids])
-    return list(index), merged
+    return np.array(list(index), dtype=str), merged
 
 
-def count_ids(terms, ids_per_file) -> VocabularyStats:
-    """Term frequencies of id streams over ``terms``."""
+def count_ids(terms, ids_per_file) -> np.ndarray:
+    """How often each of ``terms`` occurs in the id streams, as int64."""
     counts = np.zeros(len(terms), dtype=np.int64)
     for ids in ids_per_file:
         # Without minlength, so each file costs its tokens, not the vocabulary.
         file_counts = np.bincount(ids)
         counts[:len(file_counts)] += file_counts
-    return VocabularyStats(Counter(dict(zip(terms, counts.tolist()))))
+    return counts
 
 
-def retained_ids(terms, filt: VocabularyFilter) -> tuple[list, np.ndarray]:
-    """The retained terms in sorted order, and for each of ``terms`` its
-    position among them, or -1 if the filter drops it."""
-    retained = sorted(filt.retained)
-    position = {term: k for k, term in enumerate(retained)}
-    index = np.array([position.get(term, -1) for term in terms], dtype=np.int64)
-    return retained, index
+def frequency_order(terms, counts) -> np.ndarray:
+    """Positions of ``terms`` by count descending, ties by term ascending."""
+    return np.lexsort((terms, -np.asarray(counts)))
+
+
+def build_filter(terms, counts, top_k: int = 100, min_count: int = 5):
+    """The retained terms, sorted, and for each of ``terms`` its row among
+    them, or -1 where the filter drops it.
+
+    The stop set is the ``top_k`` most frequent terms (ties at the boundary
+    broken lexicographically ascending); a term is retained iff it is not
+    a stop word and occurred at least ``min_count`` times.
+    """
+    if top_k < 0:
+        raise ConfigError(f"top_k must be >= 0, got {top_k}")
+    if min_count < 1:
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+    terms = np.asarray(terms, dtype=str)
+    counts = np.asarray(counts)
+    keep = counts >= min_count
+    keep[frequency_order(terms, counts)[:top_k]] = False
+    kept = np.flatnonzero(keep)
+    kept = kept[np.argsort(terms[kept])]
+    index = np.full(len(terms), -1, dtype=np.int64)
+    index[kept] = np.arange(len(kept))
+    return terms[kept], index
 
 
 def filtered_ids(ids, lengths, retained_index, compact: bool = True):
-    """``filtered_stream`` over id streams: (ids, sentence_ids).
+    """The filtered token stream of id streams: (ids, sentence_ids).
 
     ``retained_index`` maps a vocabulary id to its id among the retained
     terms, or -1 for a dropped term.  With ``compact`` dropped tokens are
-    deleted; otherwise each leaves a -1 hole.  ``sentence_ids`` numbers
-    each token's sentence, so windows can stop at sentence ends.
+    deleted, so the survivors become adjacent; otherwise each leaves a -1
+    hole and the survivors keep their window offsets.  ``sentence_ids``
+    numbers each token's sentence, so windows can stop at sentence ends.
     """
     mapped = retained_index[ids]
     sentence_ids = np.repeat(np.arange(len(lengths)), lengths)
@@ -174,6 +108,11 @@ def filtered_ids(ids, lengths, retained_index, compact: bool = True):
         keep = mapped >= 0
         return mapped[keep], sentence_ids[keep]
     return mapped, sentence_ids
+
+
+# Names that bench/tracing.py hooks and its self-test needs to resolve.
+count_vocabulary = count_ids
+filtered_stream = filtered_ids
 
 
 def epoch_labels(corpus_root) -> list[str]:
@@ -203,23 +142,6 @@ def read_utf8(path) -> str:
         raise MissingDataError(f"not valid UTF-8: {path} (byte {exc.start})") from None
 
 
-def _file_sentences(path, docs_per_line: bool) -> Iterator[list[list[str]]]:
-    text = read_utf8(path)
-    if docs_per_line:
-        for line in text.splitlines():
-            if line.strip():
-                yield tokenize(line)
-    else:
-        yield tokenize(text)
-
-
-def read_documents(epoch: str, files: Iterable[Path], docs_per_line: bool = False) -> Iterator[Document]:
-    """Yield tokenized Documents from the given files, in the given order."""
-    for path in files:
-        for sentences in _file_sentences(path, docs_per_line):
-            yield Document(epoch, sentences)
-
-
 @dataclass
 class TokenIds:
     """One tokenized file: token k is ``terms[ids[k]]``, and the file's
@@ -231,25 +153,25 @@ class TokenIds:
 
 
 def read_token_ids(path, docs_per_line: bool = False) -> TokenIds:
-    """Tokenize one file, once, into ids over the file's own vocabulary."""
+    """Tokenize one file, once, into ids over the file's own vocabulary.
+    With ``docs_per_line`` each nonblank line is a document, so no sentence
+    runs on past the end of its line."""
+    text = read_utf8(path)
+    docs = [line for line in text.splitlines() if line.strip()] if docs_per_line else [text]
     index: dict = {}
     ids = []
     lengths = []
-    for sentences in _file_sentences(path, docs_per_line):
-        for sentence in sentences:
+    for doc in docs:
+        for sentence in tokenize(doc):
             ids.extend(index.setdefault(tok, len(index)) for tok in sentence)
             lengths.append(len(sentence))
     return TokenIds(list(index), np.array(ids, dtype=np.int32),
                     np.array(lengths, dtype=np.int32))
 
 
-def iter_documents(corpus_root, epoch: str, docs_per_line: bool = False) -> Iterator[Document]:
-    yield from read_documents(epoch, list_epoch_files(corpus_root, epoch), docs_per_line)
-
-
-def write_stats_tsv(stats: VocabularyStats, path) -> None:
+def write_stats_tsv(terms, counts, path) -> None:
     """Write term<TAB>count rows, most frequent first (ties by term)."""
-    lines = ["term\tcount"]
-    for term, count in sorted(stats.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        lines.append(f"{term}\t{count}")
+    order = frequency_order(terms, counts)
+    rows = zip(np.asarray(terms)[order].tolist(), np.asarray(counts)[order].tolist())
+    lines = ["term\tcount"] + [f"{term}\t{count}" for term, count in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -605,7 +605,7 @@ def _read_header(reader: _Reader):
         raise SpaceFormatError(f"space file header holds an invalid config: {exc}") from None
     term_count, ingested_tokens = _COUNTS.unpack(counts)
     native = np.float32 if float_width == 32 else np.float64
-    space = SemanticSpace.empty(config, label, float_dtype=native)
+    space = SemanticSpace(config, label, float_dtype=native)
     space.ingested_tokens = ingested_tokens
     dtype = _WIDTH_DTYPES[float_width]
     table = _read_term_table(reader, term_count, dim * dtype.itemsize)

@@ -9,6 +9,9 @@ linear, so spaces built on parts of a corpus under the same config combine
 by plain summation into the space of the whole corpus, up to float
 summation order.  ``combine``, ``persistence.combine_files`` and an ingest
 into a space that holds rows are one such sum, ``_summed``.
+
+Tokens arrive as ids into sorted terms (``ingest_ids``) with the seed
+matrix W·S, which alone carries the term weights (``inverse_log_weights``).
 """
 
 from __future__ import annotations
@@ -83,26 +86,20 @@ class TermEntry(NamedTuple):
     count: int
 
 
-def inverse_log_weights(counts) -> dict:
-    """Per-term coefficient 1/ln(1 + count): frequent terms shrink slowly.
-
-    Terms with no recorded occurrences are omitted; they cannot show up at
-    ingest time, so they need no coefficient.
-    """
-    return {
-        term: 1.0 / math.log1p(count) for term, count in counts.items() if count > 0
-    }
+def inverse_log_weights(counts) -> np.ndarray:
+    """The coefficient 1/ln(1 + count) of each of ``counts`` (all >= 1):
+    frequent terms shrink slowly.  ``math.log1p`` fixes the bits, which
+    ``np.log1p`` would change in the last place for some counts."""
+    return np.array([1.0 / math.log1p(count) for count in np.asarray(counts).tolist()])
 
 
 def seed_matrix(terms, config: SpaceConfig, weights=None) -> np.ndarray:
-    """Row k is the seed vector of ``terms[k]``, scaled by its weight when
-    a ``weights`` map is given: the matrix W·S a build multiplies counts by."""
+    """Row k is the seed vector of ``terms[k]``, scaled by ``weights[k]``
+    when a weight array is given: the matrix W·S a build multiplies counts
+    by."""
     seeds = vectors.seed_matrix(terms, config.dim, config.global_seed)
     if weights is not None:
-        missing = [term for term in terms if term not in weights]
-        if missing:
-            raise ConfigError(f"no accumulation weight for term {missing[0]!r}")
-        seeds *= np.array([weights[term] for term in terms])[:, None]
+        seeds *= np.asarray(weights, dtype=np.float64)[:, None]
     return seeds
 
 
@@ -217,34 +214,16 @@ class SemanticSpace:
     and row k of ``counts`` (int64), ``context`` and ``order`` (V x dim,
     in the space's float width) belongs to ``terms[k]``.
 
-    ``term_weights`` optionally maps each token to its accumulation
-    coefficient; the build pipeline passes None for uniform weighting and
-    the inverse-log map otherwise.  Weights are a build-time input only:
-    they are not persisted and not part of config equality.
+    A space keeps no term weights: they are in the seeds ``ingest_ids`` takes.
     """
 
-    def __init__(self, config: SpaceConfig, epoch_label: str, term_weights=None,
-                 float_dtype=np.float64):
-        if config.weighting != "uniform" and term_weights is None:
-            raise ConfigError(
-                f"weighting {config.weighting!r} needs a term_weights map at build time"
-            )
+    def __init__(self, config: SpaceConfig, epoch_label: str, float_dtype=np.float64):
         self.config = config
         self.epoch_label = epoch_label
         self.ingested_tokens = 0
-        self._term_weights = term_weights
         self._perms = None
         rows = np.zeros((0, config.dim), dtype=float_dtype)
         self.set_rows(np.array([], dtype=str), np.zeros(0, dtype=np.int64), rows, rows.copy())
-
-    @classmethod
-    def empty(cls, config: SpaceConfig, epoch_label: str, float_dtype=np.float64):
-        """A space for vectors that arrive already weighted: loaded from a
-        file, summed by combine, or accumulated from a weighted seed
-        matrix.  Under non-uniform weighting its weight map is empty, so
-        ingesting tokens into it raises ConfigError."""
-        weights = None if config.weighting == "uniform" else {}
-        return cls(config, epoch_label, term_weights=weights, float_dtype=float_dtype)
 
     def set_rows(self, terms, counts, context, order) -> None:
         """Replace every row.  ``terms`` must be sorted and unique; the
@@ -258,18 +237,6 @@ class SemanticSpace:
         self._indexes = {}
 
     _ROWS = ("terms", "counts", "context", "order")
-
-    # Transient caches are rebuilt on demand; keep pickles small by not
-    # shipping them.
-    def __getstate__(self):
-        return {name: getattr(self, name)
-                for name in ("config", "epoch_label", "ingested_tokens") + self._ROWS}
-
-    def __setstate__(self, state):
-        self._term_weights = None
-        self._perms = None
-        self.set_rows(*(state.pop(name) for name in self._ROWS))
-        self.__dict__.update(state)
 
     @property
     def float_dtype(self) -> np.dtype:
@@ -327,19 +294,14 @@ class SemanticSpace:
     __hash__ = None
 
     def ingest_sentence(self, tokens) -> None:
-        """Accumulate one sentence of filtered tokens.
-
-        ``None`` marks a hole left by a dropped token when hole-preserving
-        filtering is in use: holes keep their position (so real neighbors
-        stay at their original offsets) but contribute nothing and are not
-        counted as centers.  Windows never cross sentence boundaries.
-        """
-        self.ingest_sentences([tokens])
-
-    def ingest_sentences(self, sentences) -> None:
-        """Accumulate many sentences (see ``ingest_sentence``) in one pass
-        of the accumulation kernel."""
-        tokens = [tok for sentence in sentences for tok in sentence]
+        """``ingest_ids`` for one sentence of token strings, ``None`` marking
+        a hole (a dropped token that keeps its position), under uniform
+        weighting.  Other weights come from corpus counts, which a sentence
+        does not know: ConfigError."""
+        if self.config.weighting != "uniform":
+            raise ConfigError(
+                f"weighting {self.config.weighting!r} needs weighted seeds: use ingest_ids"
+            )
         if "" in tokens:
             raise ValueError("empty token reached ingestion")
         terms = sorted({tok for tok in tokens if tok is not None})
@@ -347,9 +309,8 @@ class SemanticSpace:
             return
         index = {term: k for k, term in enumerate(terms)}
         ids = np.array([-1 if tok is None else index[tok] for tok in tokens], dtype=np.int64)
-        sentence_ids = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
-        self.ingest_ids(terms, ids, sentence_ids,
-                        seed_matrix(terms, self.config, self._term_weights))
+        self.ingest_ids(terms, ids, np.zeros(len(ids), dtype=np.int64),
+                        seed_matrix(terms, self.config))
 
     def ingest_ids(self, terms, ids, sentence_ids, seeds) -> None:
         """Accumulate a token stream given as indices into ``terms``, which
@@ -377,7 +338,7 @@ class SemanticSpace:
             self.set_rows(terms, counts, context.astype(dtype, copy=False),
                           order.astype(dtype, copy=False))
         else:
-            part = SemanticSpace.empty(self.config, self.epoch_label)
+            part = SemanticSpace(self.config, self.epoch_label)
             part.set_rows(terms, counts, context, order)
             summed = _summed([self, part], [self.terms, terms], _add_rows([self, part]),
                              dtype=self.float_dtype)
@@ -620,7 +581,7 @@ def _summed(heads, tables, add, dtype=None) -> SemanticSpace:
                           stacklevel=3)
             dtype = np.dtype(np.float64)
     terms = np.unique(np.concatenate(tables))
-    out = SemanticSpace.empty(first.config, "+".join(head.epoch_label for head in heads),
+    out = SemanticSpace(first.config, "+".join(head.epoch_label for head in heads),
                               float_dtype=dtype)
     shape = (len(terms), first.config.dim)
     out.set_rows(terms, np.zeros(len(terms), dtype=np.int64),

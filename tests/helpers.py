@@ -6,22 +6,106 @@ phase switches, fixed successor pairs) that the analyses are expected to
 recover.
 """
 
+import math
 import random
+from collections import Counter
 
 import numpy as np
 
-from driftspace import SemanticSpace, SpaceConfig
+from driftspace import ConfigError, SemanticSpace, SpaceConfig
+from driftspace.corpus import read_utf8, tokenize
+from driftspace.space import seed_matrix
 
 # Tolerances for "numerically equal up to summation order" comparisons.
 RTOL = 1e-6
 ATOL = 1e-9
 
 
-def build_space(config, label, sentences, weights=None):
-    """One space from token sentences, through the accumulation kernel
-    ``driftspace build`` runs once per epoch."""
-    space = SemanticSpace(config, label, term_weights=weights)
-    space.ingest_sentences(sentences)
+# ---------------------------------------------------------------------------
+# String reference of the corpus stage: documents as lists of token
+# sentences, a Counter, a Python-sorted filter and a weight dict.  The
+# build's id path (``driftspace.corpus``) is checked against it.
+# ---------------------------------------------------------------------------
+
+def read_documents(paths, docs_per_line=False):
+    """Each document of the files, in order, as its list of token sentences."""
+    docs = []
+    for path in paths:
+        text = read_utf8(path)
+        if docs_per_line:
+            docs += [tokenize(line) for line in text.splitlines() if line.strip()]
+        else:
+            docs.append(tokenize(text))
+    return docs
+
+
+def count_vocabulary(docs):
+    """Term frequencies over documents, as a Counter."""
+    counts = Counter()
+    for doc in docs:
+        for sentence in doc:
+            counts.update(sentence)
+    return counts
+
+
+def ranked_terms(counts):
+    """The terms of ``counts`` by count descending, ties by term ascending."""
+    return sorted(counts, key=lambda term: (-counts[term], term))
+
+
+def stop_set(counts, top_k):
+    """The ``top_k`` most frequent terms."""
+    return set(ranked_terms(counts)[:top_k])
+
+
+def retained_terms(counts, top_k, min_count):
+    """The terms outside the stop set that occur at least ``min_count`` times."""
+    stop = stop_set(counts, top_k)
+    return {term for term, count in counts.items() if term not in stop and count >= min_count}
+
+
+def filtered_stream(doc, retained, compact=True):
+    """Sentences of ``doc`` with the tokens not in ``retained`` removed:
+    deleted with ``compact``, else left as ``None`` holes.  A sentence with
+    no retained token is omitted."""
+    out = []
+    for sentence in doc:
+        kept = [t if t in retained else None for t in sentence]
+        if compact:
+            kept = [t for t in kept if t is not None]
+        if any(t is not None for t in kept):
+            out.append(kept)
+    return out
+
+
+def inverse_log_weight_map(counts):
+    """``{term: 1 / ln(1 + count)}`` over the terms that occur."""
+    return {term: 1.0 / math.log1p(count) for term, count in counts.items() if count > 0}
+
+
+def ingest_sentences(space, sentences, weights=None):
+    """Accumulate token sentences (``None`` for a hole) into ``space`` in one
+    pass of the kernel ``driftspace build`` runs per epoch, each token's seed
+    scaled by ``weights[token]``; a non-uniform space needs ``weights``."""
+    if weights is None and space.config.weighting != "uniform":
+        raise ConfigError(f"weighting {space.config.weighting!r} needs a weight map")
+    tokens = [tok for sentence in sentences for tok in sentence]
+    if "" in tokens:
+        raise ValueError("empty token reached ingestion")
+    terms = sorted({tok for tok in tokens if tok is not None})
+    if not terms:
+        return
+    index = {term: k for k, term in enumerate(terms)}
+    ids = np.array([-1 if tok is None else index[tok] for tok in tokens], dtype=np.int64)
+    sentence_ids = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    scale = None if weights is None else [weights[term] for term in terms]
+    space.ingest_ids(terms, ids, sentence_ids, seed_matrix(terms, space.config, scale))
+
+
+def build_space(config, label, sentences, weights=None, float_dtype=np.float64):
+    """One space from token sentences (see ``ingest_sentences``)."""
+    space = SemanticSpace(config, label, float_dtype=float_dtype)
+    ingest_sentences(space, sentences, weights)
     return space
 
 
@@ -38,7 +122,7 @@ def cut_to_terms(space, terms):
     """A copy of ``space`` holding only the rows of those of ``terms`` it
     holds, with its label, config and token total."""
     keep = np.isin(space.terms, np.array(list(terms), dtype=str))
-    cut = SemanticSpace.empty(space.config, space.epoch_label, float_dtype=space.float_dtype)
+    cut = SemanticSpace(space.config, space.epoch_label, float_dtype=space.float_dtype)
     cut.ingested_tokens = space.ingested_tokens
     cut.set_rows(space.terms[keep], space.counts[keep], space.context[keep], space.order[keep])
     return cut

@@ -39,8 +39,11 @@ from helpers import (
     TECH,
     WOMAN_TERMS,
     build_space,
+    count_vocabulary,
     drift_gradient_periods,
     gendered_years,
+    read_documents,
+    retained_terms,
     succession_epochs,
     successor_corpus,
     two_phase_epochs,
@@ -363,7 +366,7 @@ def test_criterion_11_build_determinism(tmp_path):
     reason=f"dataset-gated: set {NYT_ENV} to a per-year newswire corpus root",
 )
 def test_criterion_12_newswire_reproduction(tmp_path):
-    from driftspace.corpus import build_filter, count_vocabulary, epoch_labels, iter_documents
+    from driftspace.corpus import epoch_labels, list_epoch_files
 
     root = Path(os.environ[NYT_ENV])
     labels = epoch_labels(root)
@@ -371,12 +374,8 @@ def test_criterion_12_newswire_reproduction(tmp_path):
     code = cli.main(["build", "--corpus", str(root), "--out", str(out)])
     assert code == cli.EXIT_OK
 
-    def documents():
-        for label in labels:
-            yield from iter_documents(root, label)
-
-    stats = count_vocabulary(documents())
-    retained = len(build_filter(stats, top_k=100, min_count=5).retained)
+    paths = [path for label in labels for path in list_epoch_files(root, label)]
+    retained = len(retained_terms(count_vocabulary(read_documents(paths)), 100, 5))
 
     spaces = {label: load_space(out / f"{label}.space") for label in labels}
     ordered = [spaces[label] for label in labels]

@@ -31,13 +31,17 @@ from driftspace import (
     persistence,
     reports,
 )
-from driftspace.corpus import build_filter, count_vocabulary, filtered_stream, read_documents
-from driftspace.space import inverse_log_weights, norm_frequency_series
+from driftspace.space import norm_frequency_series
 
 from helpers import (
     assert_spaces_close,
     build_space,
+    count_vocabulary,
+    filtered_stream,
+    inverse_log_weight_map,
     random_sentences,
+    read_documents,
+    retained_terms,
     sentences_to_text,
     two_phase_epochs,
     write_epoch_dir,
@@ -235,14 +239,12 @@ def test_cli_build_equals_sentence_ingest(tmp_path, flags):
     weighting = "inverse_log_frequency" if "--weighting" in flags else "uniform"
     config = SpaceConfig(dim=64, window=5, order_span=2, weighting=weighting, compaction=compact)
     files = {label: sorted((root / label).iterdir()) for label in ("e1", "e2")}
-    stats = count_vocabulary(
-        doc for label in files for doc in read_documents(label, files[label], per_line)
-    )
-    filt = build_filter(stats, top_k=3, min_count=3)
-    weights = inverse_log_weights(stats.counts) if weighting != "uniform" else None
+    counts = count_vocabulary(read_documents(files["e1"] + files["e2"], per_line))
+    retained = retained_terms(counts, top_k=3, min_count=3)
+    weights = inverse_log_weight_map(counts) if weighting != "uniform" else None
     for label in files:
-        sentences = [s for doc in read_documents(label, files[label], per_line)
-                     for s in filtered_stream(doc, filt, compact)]
+        sentences = [s for doc in read_documents(files[label], per_line)
+                     for s in filtered_stream(doc, retained, compact)]
         expected = build_space(config, label, sentences, weights)
         built_space = load_space(out / f"{label}.space")
         assert built_space.ingested_tokens == expected.ingested_tokens
@@ -1285,6 +1287,49 @@ class TestConfigFile:
                          "--out", str(run), "--format", "tsv", "--config", str(conf)])
         assert code == cli.EXIT_OK
         assert len((run / "report.tsv").read_text(encoding="utf-8").splitlines()) == 4
+
+    def test_a_relative_run_feeds_a_build_from_its_own_directory(self, corpus_root, tmp_path,
+                                                                 monkeypatch):
+        # config.txt records absolute input paths, so a run read back from
+        # another working directory still finds them.
+        (tmp_path / "m").symlink_to(corpus_root)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["build", "--corpus", "m", "--out", "A", *BUILD_FLAGS]) == cli.EXIT_OK
+        lines = (tmp_path / "A" / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert f"corpus_root={tmp_path / 'm'}" in lines
+        monkeypatch.chdir(tmp_path / "A")
+        code = cli.main(["build", "--corpus", str(corpus_root), "--out", "../D",
+                         "--config", "config.txt"])
+        assert code == cli.EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "A").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "D").iterdir())
+        for name in names:
+            assert (tmp_path / "D" / name).read_bytes() == (tmp_path / "A" / name).read_bytes()
+
+    def test_every_input_path_is_recorded_absolute(self, built, tmp_path, monkeypatch):
+        monkeypatch.chdir(built)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"spaces = e1.space, {built / 'e2.space'}\n", encoding="utf-8")
+        out = tmp_path / "normfreq"
+        code = cli.main(["normfreq", "gizmo", "--spaces", "e2.space", "--out", str(out),
+                         "--config", str(conf)])
+        assert code == cli.EXIT_OK
+        lines = (out / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert f"spaces={built / 'e1.space'},{built / 'e2.space'}" in lines
+
+    def test_a_config_file_leaves_the_next_run_its_defaults(self, built, tmp_path):
+        # The parser is built once per process; a --config value goes onto
+        # that run's namespace, never into the parser's defaults.
+        conf = tmp_path / "run.conf"
+        conf.write_text("top_n = 3\n", encoding="utf-8")
+        argv = ["neighbors", "gizmo", "--space", str(built / "e1.space"), "--format", "tsv"]
+        assert cli.build_parser() is cli.build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(argv + ["--out", str(first), "--config", str(conf)]) == cli.EXIT_OK
+        assert cli.main(argv + ["--out", str(second)]) == cli.EXIT_OK
+        rows = [len((out / "report.tsv").read_text(encoding="utf-8").splitlines()) - 1
+                for out in (first, second)]
+        assert rows == [3, 20]
 
 
 class TestUsageErrors:

@@ -175,7 +175,7 @@ class TestTrajectory:
 
 
 def _narrowed(space, width):
-    out = SemanticSpace.empty(space.config, space.epoch_label, float_dtype=width)
+    out = SemanticSpace(space.config, space.epoch_label, float_dtype=width)
     out.set_rows(space.terms, space.counts, space.context.astype(width),
                  space.order.astype(width))
     return out

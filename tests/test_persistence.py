@@ -35,7 +35,13 @@ from driftspace import (
 from driftspace import persistence
 from driftspace.persistence import FORMAT_VERSION, MAGIC, write_space_tsv
 
-from helpers import assert_spaces_identical, build_space, cut_to_terms, random_sentences
+from helpers import (
+    assert_spaces_identical,
+    build_space,
+    cut_to_terms,
+    ingest_sentences,
+    random_sentences,
+)
 
 CFG = SpaceConfig(dim=32, window=5, order_span=2, global_seed=3, perm_seed=4)
 _FIXED = struct.calcsize("<8sIIIIQQBBBB")
@@ -163,9 +169,9 @@ class TestFloatWidth:
         config = SpaceConfig(dim=32, window=5, weighting="inverse_log_frequency")
         vocab = [f"v{i:02d}" for i in range(12)]
         weights = {term: 1.0 / np.log1p(k + 2) for k, term in enumerate(vocab)}
-        narrow = SemanticSpace(config, "n", term_weights=weights, float_dtype=np.float32)
         rng = random.Random(74)
-        narrow.ingest_sentences(random_sentences(rng, vocab[:8], 30))
+        narrow = build_space(config, "n", random_sentences(rng, vocab[:8], 30), weights,
+                             float_dtype=np.float32)
         _assert_ingest_rounds_once(narrow, random_sentences(rng, vocab[4:], 30), weights)
 
     def test_weighted_space_loads_but_refuses_ingest(self, tmp_path):
@@ -256,7 +262,7 @@ def _assert_ingest_rounds_once(narrow, sentences, weights=None):
     old = {term: (narrow.context[k].copy(), narrow.order[k].copy())
            for k, term in enumerate(narrow.terms.tolist())}
     part = build_space(narrow.config, "part", sentences, weights=weights)
-    narrow.ingest_sentences(sentences)
+    ingest_sentences(narrow, sentences, weights)
     zero = np.zeros(narrow.config.dim, dtype=np.float32)
     for term in narrow.terms.tolist():
         for kind, before in zip(("context", "order"), old.get(term, (zero, zero))):

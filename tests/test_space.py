@@ -1,5 +1,6 @@
 """Space accumulation, combination, and neighbor queries."""
 
+import math
 import pickle
 import random
 
@@ -23,7 +24,7 @@ from driftspace import space as space_module
 from driftspace.space import inverse_log_weights, top_ranked
 from driftspace.vectors import PermutationSet, apply_permutation, seed_vector
 
-from helpers import assert_spaces_close, build_space, random_sentences
+from helpers import assert_spaces_close, build_space, ingest_sentences, random_sentences
 
 SMALL = SpaceConfig(dim=64, window=5, order_span=2, global_seed=3, perm_seed=4)
 
@@ -107,9 +108,13 @@ class TestSpaceConfig:
             SpaceConfig(**kwargs)
 
     def test_non_uniform_weighting_needs_weights(self):
-        config = SpaceConfig(weighting="inverse_log_frequency")
-        with pytest.raises(ConfigError):
-            SemanticSpace(config, "e")
+        # The weights are the corpus's: a space holds none, so a sentence of
+        # strings cannot be weighted, even one that ingests nothing.
+        space = SemanticSpace(SpaceConfig(weighting="inverse_log_frequency"), "e")
+        for sentence in (["a", "b"], []):
+            with pytest.raises(ConfigError, match="ingest_ids"):
+                space.ingest_sentence(sentence)
+        assert len(space) == 0 and space.ingested_tokens == 0
 
 
 class TestIngestion:
@@ -204,12 +209,16 @@ class TestIngestion:
             for sentence in random_sentences(rng, vocab, 60, min_len=1, max_len=9)
         ]
         weights = {tok: 0.5 + 0.1 * i for i, tok in enumerate(vocab)}
-        batch = build_space(SMALL, "e", sentences, weights=weights)
-        single = SemanticSpace(SMALL, "e", term_weights=weights)
-        for sentence in sentences:
-            single.ingest_sentence(sentence)
-        assert single.ingested_tokens == batch.ingested_tokens
-        assert_spaces_close(single, batch, rtol=1e-12, atol=1e-12)
+        for scale in (None, weights):
+            batch = build_space(SMALL, "e", sentences, weights=scale)
+            single = SemanticSpace(SMALL, "e")
+            for sentence in sentences:
+                if scale is None:
+                    single.ingest_sentence(sentence)
+                else:
+                    ingest_sentences(single, [sentence], scale)
+            assert single.ingested_tokens == batch.ingested_tokens
+            assert_spaces_close(single, batch, rtol=1e-12, atol=1e-12)
 
     def test_blocked_pair_counts_match_one_block(self, monkeypatch):
         rng = random.Random(110)
@@ -271,9 +280,15 @@ class TestIngestion:
         assert plain == weighted
 
     def test_inverse_log_weights_formula(self):
-        weights = inverse_log_weights({"a": 0, "b": 1, "c": 99})
-        assert weights["b"] == pytest.approx(1.0 / np.log(2.0))
-        assert weights["c"] == pytest.approx(1.0 / np.log(100.0))
+        weights = inverse_log_weights(np.array([1, 99]))
+        assert weights[0] == pytest.approx(1.0 / np.log(2.0))
+        assert weights[1] == pytest.approx(1.0 / np.log(100.0))
+        # Bit for bit 1 / math.log1p: for counts 2, 13, 47 and 73, 1 / np.log1p
+        # differs in the last bit (numpy 2.4, x86-64), as for 13,326 of the
+        # counts 1..2,000,000, and so would the bytes of inverse-log spaces.
+        for counts in ([1, 2, 13, 47, 73, 1_000_000], range(1, 100_001)):
+            want = [1.0 / math.log1p(count) for count in counts]
+            assert inverse_log_weights(np.array(counts, dtype=np.int64)).tolist() == want
 
 
 class TestTermVector:
@@ -415,8 +430,7 @@ def _query_cases(draw):
         rows[i] = rows[j]
         for k in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
             rows[i, k] = np.nextafter(rows[i, k], width(draw(st.sampled_from([np.inf, -np.inf]))))
-    space = SemanticSpace.empty(SpaceConfig(dim=dim, window=3, order_span=1), "e",
-                                float_dtype=width)
+    space = SemanticSpace(SpaceConfig(dim=dim, window=3, order_span=1), "e", float_dtype=width)
     terms = np.array([f"t{i:02d}" for i in range(n_rows)], dtype=str)
     space.set_rows(terms, np.ones(n_rows, dtype=np.int64), rows, rows.copy())
     index = NeighborIndex(space)
@@ -515,7 +529,7 @@ class TestNeighborIndex:
         rows = np.array([[0.08646054491484068, 2.124102849308746],
                          [0.1321747990982927, 3.247179018453115]])
         q = np.array([0.05051174587784293, 1.2409376259236262])
-        space = SemanticSpace.empty(SpaceConfig(dim=2, window=3, order_span=1), "e")
+        space = SemanticSpace(SpaceConfig(dim=2, window=3, order_span=1), "e")
         space.set_rows(np.array(["t00", "t01"]), np.ones(2, dtype=np.int64), rows, rows.copy())
         index = NeighborIndex(space)
         want = _per_pair_full_sort(index, q, 1, ())
@@ -575,7 +589,7 @@ class TestArrays:
 
     def test_ingest_into_a_loaded_vocabulary_grows_it_in_order(self):
         space = build_space(SMALL, "e", [["m", "c"]])
-        space.ingest_sentences([["a", "m"], ["z", "c"]])
+        ingest_sentences(space, [["a", "m"], ["z", "c"]])
         assert space.terms.tolist() == ["a", "c", "m", "z"]
         assert_spaces_close(space, build_space(SMALL, "e", [["m", "c"], ["a", "m"], ["z", "c"]]))
 
