@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import os
+import re
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -60,6 +61,28 @@ _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
 
 
+# config.txt writes the values of a flag of many values comma-separated: a
+# comma in a value as ``\,``, and a run of backslashes just before a comma,
+# in a value or ending one that another follows, doubled.  Anything else is
+# written as it is, and every value is read back as it was.
+
+def _join_values(values) -> str:
+    values = [re.sub(r"(\\*),", r"\1\1\\,", str(value)) for value in values]
+    return ",".join([re.sub(r"\\+\Z", r"\g<0>\g<0>", v) for v in values[:-1]] + values[-1:])
+
+
+def _split_values(text: str) -> list:
+    pieces = re.split(r"(\\*),", text)  # a value's text, a backslash run, text, ...
+    values = [pieces[0]]
+    for run, piece in zip(pieces[1::2], pieces[2::2]):
+        values[-1] += run[:len(run) // 2]  # an odd run ends in an escaped comma
+        if len(run) % 2:
+            values[-1] += "," + piece
+        else:
+            values.append(piece)
+    return values
+
+
 def _config_value(action, text: str, where: str):
     """``text`` as the flag ``action`` takes it: a boolean for a store_true
     or store_false flag, else converted by the flag's type (item by item of
@@ -70,7 +93,8 @@ def _config_value(action, text: str, where: str):
         if action.nargs == 0:
             return _BOOLEANS[text.lower()]
         if action.nargs == "+":
-            value = [convert(piece.strip()) for piece in text.split(",") if piece.strip()] or None
+            value = [convert(piece.strip()) for piece in _split_values(text)
+                     if piece.strip()] or None
         else:
             value = convert(text)
         if value is not None and (action.choices is None or value in action.choices):
@@ -124,7 +148,7 @@ def _write_run_config(out_dir: Path, ns: argparse.Namespace) -> None:
         if key in ("func", "command", "config", "out") or value is None:
             continue
         if isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
+            value = _join_values(value)
         lines.append(f"{key}={value}")
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -254,13 +278,15 @@ def cmd_build(ns: argparse.Namespace) -> int:
 
     # One pool per build: it tokenizes files, then accumulates and saves
     # whole epochs.  Every float is computed once, in one process, from
-    # integer counts, so the worker count cannot change a byte.  scipy is
-    # loaded first so that forked workers inherit it.
+    # integer counts, so the worker count cannot change a byte.  A pool
+    # forks all its workers at once, so it has no more than there are
+    # files.  scipy is loaded first so that forked workers inherit it.
     import scipy.sparse  # noqa: F401
 
+    paths = [path for label in labels for path in epoch_files[label]]
+    workers = max(1, min(workers, len(paths)))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
-        paths = [path for label in labels for path in epoch_files[label]]
         read = functools.partial(corpus.read_token_ids, docs_per_line=ns.docs_per_line)
         files = list(_ordered_map(pool, workers, read, paths))
         terms, file_ids = corpus.merge_vocabularies(files)

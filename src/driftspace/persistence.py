@@ -29,24 +29,19 @@ same space always serializes to the same bytes; writes go to a uniquely
 named temp file in the target directory, are fsynced and renamed into place.
 The header fixes the size of every section but the term bytes, whose size
 the checked term lengths fix, so a load checks the whole layout against the
-file size before it allocates an array, then reads each section straight
-into its array; the two matrix sections are read and checked in pool
-threads (``load_spaces``).  ``load_spaces(paths, terms)`` keeps only the
-rows of ``terms``: it streams the matrix sections through a reused buffer
-per thread, checks every byte against the CRCs all the same, and copies
-out only the kept rows.  ``combine_files(paths)`` is ``combine``'s
-kernel over files, its streaming path: it reads every header and term table
-first, lets the kernel allocate the union once, then streams each file's
-sections through the same buffers and adds every chunk, checked, into the
-result's rows, one input file at a time.  Version 1 files (one checksummed
-record per term) are refused with VersionMismatchError.
+file size before it allocates an array.  The term table and counts are read
+whole; the matrix sections stream in chunks of whole rows, each fed to the
+CRC-32 as it arrives (``_stream_rows``), on every core (``_File``).  A full
+load reads the chunks straight into the space's arrays; a restricted load
+(``load_spaces(paths, terms)``) copies the kept rows, and ``combine_files``
+adds every row into ``combine``'s sum, out of one reused buffer per reading
+thread.  Version 1 files (one checksummed record per term) are refused with
+VersionMismatchError.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import mmap
 import os
 import secrets
 import struct
@@ -83,8 +78,8 @@ _LENGTH = np.dtype("<u4")
 _COUNT = np.dtype("<i8")
 
 _IO_BUFFER = 1 << 20
-# A restricted load streams a matrix section in chunks of whole rows of at
-# most this many bytes (one row, if a row is longer).
+# Matrix sections stream in chunks of whole rows of at most this many bytes
+# (one row, if a row is longer).
 _CHUNK = 1 << 20
 
 
@@ -178,51 +173,6 @@ def _read_at(fd: int, buffer, offset: int, what: str, expected: int | None = Non
     return buffer
 
 
-# The pages behind a section's array are dropped before the read fills it,
-# so that the read faults in fresh pages every time.  An array from malloc
-# may or may not sit on pages the process has touched before, depending on
-# what it allocated and freed until then; that made loads up to twice as
-# fast in one process as in the next.  Dropping keeps the array in malloc's
-# heap, which the rest of the program reuses; a mapping of its own per
-# section raised peak RSS.
-try:
-    _madvise = ctypes.CDLL(None, use_errno=True).madvise
-    _madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-    _MADV_DONTNEED = mmap.MADV_DONTNEED
-    _PAGE = mmap.PAGESIZE
-except (AttributeError, OSError):  # no madvise here: nothing is dropped
-    _madvise = None
-
-
-def _drop_pages(data: np.ndarray) -> None:
-    """Give back the whole pages inside ``data``'s buffer; they read as
-    zeros until written."""
-    if _madvise is None:
-        return
-    start = -(-data.ctypes.data // _PAGE) * _PAGE
-    end = (data.ctypes.data + data.nbytes) // _PAGE * _PAGE
-    if end > start:
-        _madvise(start, end - start, _MADV_DONTNEED)
-
-
-def _read_section(fd: int, array: np.ndarray, offset: int, what: str,
-                  keep: np.ndarray | None = None) -> np.ndarray:
-    """Fill ``array`` from the section at ``offset`` and check it against
-    the CRC-32 stored after it.  With ``keep``, a boolean mask over the
-    section's rows, ``array`` receives only the rows it marks, while every
-    byte of the section still goes through the CRC.  ``preadv`` and
-    ``crc32`` release the GIL, so pool threads read sections side by side."""
-    if keep is not None:
-        _stream_rows(fd, offset, (len(keep), array.shape[1]), array.dtype, what,
-                     _copy_kept(array, keep))
-        return array
-    data = _raw_bytes(array)
-    _drop_pages(data)
-    _read_at(fd, data, offset, f"{what} section")
-    _check_crc(fd, zlib.crc32(data), offset + data.size, what)
-    return array
-
-
 def _check_crc(fd: int, crc: int, end: int, what: str) -> None:
     """Compare ``crc`` with the CRC-32 stored at ``end``, after the section."""
     checksum = _read_at(fd, bytearray(_U32.size), end, f"{what} checksum")
@@ -235,25 +185,31 @@ _buffers = threading.local()
 
 def _stream_rows(fd: int, offset: int, shape: tuple, dtype: np.dtype, what: str, sink) -> None:
     """Read the section at ``offset``, ``shape`` = (rows, dim) floats of
-    ``dtype``, in chunks of whole rows into the calling thread's buffer;
-    feed each chunk to the CRC-32 and hand it to ``sink(first, chunk)`` as a
-    (rows, dim) view of the buffer whose first row is the section's row
-    ``first``; then check the section's CRC-32.  Only a chunk of the section
-    is ever held, and the buffer's pages, once touched, are reused by every
-    later chunk."""
+    ``dtype``, in chunks of whole rows, each fed to the CRC-32 as it
+    arrives, then check the section's CRC-32.  A ``sink`` array of
+    ``shape`` takes the chunks in place; any other sink is called as
+    ``sink(first, chunk)``, the chunk a (rows, dim) view of the calling
+    thread's reused buffer whose first row is the section's row ``first``.
+    ``preadv`` and ``crc32`` release the GIL, so pool threads stream
+    sections side by side."""
     rows, dim = shape
     row_bytes = dim * dtype.itemsize
     step = max(1, _CHUNK // row_bytes)
+    in_place = isinstance(sink, np.ndarray)
     buffer = getattr(_buffers, "chunk", None)
-    if buffer is None or buffer.size < step * row_bytes:
+    if in_place:
+        buffer = _raw_bytes(sink)
+    elif buffer is None or buffer.size < step * row_bytes:
         buffer = _buffers.chunk = np.empty(step * row_bytes, dtype=np.uint8)
     end = offset + rows * row_bytes
     crc = 0
     for first in range(0, rows, step):
-        chunk = buffer[:min(step, rows - first) * row_bytes]
+        at = first * row_bytes if in_place else 0
+        chunk = buffer[at:at + min(step, rows - first) * row_bytes]
         _read_at(fd, chunk, offset + first * row_bytes, f"{what} section", expected=end)
         crc = zlib.crc32(chunk, crc)
-        sink(first, chunk.view(dtype).reshape(-1, dim))
+        if not in_place:
+            sink(first, chunk.view(dtype).reshape(-1, dim))
     _check_crc(fd, crc, end, what)
 
 
@@ -299,8 +255,11 @@ class _Reader:
     def section(self, array: np.ndarray, what: str) -> np.ndarray:
         """Fill ``array`` from the file and check the CRC-32 after it;
         ``check_layout`` has made sure that both fit."""
-        _read_section(self.fd, array, self.offset, what)
-        self.offset += array.nbytes + _U32.size
+        data = _raw_bytes(array)
+        _read_at(self.fd, data, self.offset, f"{what} section")
+        self.offset += data.size
+        _check_crc(self.fd, zlib.crc32(data), self.offset, what)
+        self.offset += _U32.size
         return array
 
     def check_layout(self, sections, exact: bool) -> None:
@@ -320,8 +279,7 @@ def load_space(path) -> SemanticSpace:
 
     Raises BadMagicError, VersionMismatchError, TruncatedFileError (with
     the failing offset) or ChecksumError; each is a distinct class so
-    callers can map them to distinct exit codes.  Every section is read
-    straight into the array the space keeps.
+    callers can map them to distinct exit codes.
     """
     return load_spaces([path])[0]
 
@@ -331,9 +289,9 @@ def load_spaces(paths, terms=None) -> list:
     sections read and checked on every core.
 
     The calling thread reads and checks each file's header, term table and
-    counts, and allocates its matrices; pool threads then read the context
-    and order sections into them and check their CRCs, while the calling
-    thread goes on to the next file.  It reads the last file's context
+    counts, and allocates its matrices; pool threads then stream the
+    context and order sections into them and check their CRCs, while the
+    calling thread goes on to the next file.  It reads the last file's context
     section itself, since it would otherwise only wait.  At most one file
     more than the pool has threads is open at a time.  Errors are those of
     sequential loads: the first damaged file in argument order raises, as
@@ -346,7 +304,7 @@ def load_spaces(paths, terms=None) -> list:
     load, but the rows left out are never allocated.  Such a space answers
     only for its own rows: a neighbor query over it ranks only them.
     """
-    pool, threads = _section_pool()
+    _, threads = _section_pool()
     paths = list(paths)
     if terms is not None:
         terms = np.array(list(terms), dtype=str)
@@ -356,7 +314,7 @@ def load_spaces(paths, terms=None) -> list:
             while len(pending) > threads:
                 spaces.append(pending.popleft().finish())
             try:
-                pending.append(_Load(path, pool, last=k == len(paths) - 1, terms=terms))
+                pending.append(_Load(path, last=k == len(paths) - 1, terms=terms))
             except Exception:
                 # Damage in an earlier file is reported first, as it would
                 # be were the files loaded one after another.
@@ -367,24 +325,68 @@ def load_spaces(paths, terms=None) -> list:
             spaces.append(pending.popleft().finish())
     finally:
         for load in pending:
-            load.abandon()
+            load.file.close()
     return spaces
 
 
-class _Load:
-    """One open space file: its header, term table and counts read and
-    checked, its matrix sections being read by the pool, except the
-    context section of the ``last`` file, which ``finish`` reads.  Every
-    section comes through the one descriptor whose header was checked, so
-    a file renamed over the path meanwhile cannot be mixed in.  With
-    ``terms`` (an array), only their rows are kept."""
+class _File:
+    """A space file open on one descriptor, whose two matrix sections
+    stream into sinks: the order section in a pool thread, the context
+    section too, or, for a file read ``own``, on the calling thread in
+    ``finish``.  Every section comes through the one descriptor whose
+    header was checked, so a file renamed over the path meanwhile cannot
+    be mixed in."""
 
-    def __init__(self, path, pool: ThreadPoolExecutor, last: bool, terms=None):
+    def __init__(self, path):
         self.file = open(path, "rb", buffering=0)
-        self.reads = []
-        self.own_read = None
+        self.reader = _Reader(self.file.fileno())
+        self.reads, self.own = [], None
+
+    def stream(self, shape: tuple, dtype: np.dtype, sinks, own: bool) -> None:
+        """Start streaming the context and order sections, ``shape`` =
+        (rows, dim) floats of ``dtype`` each, into ``sinks``; the reader
+        stands at the counts section, which precedes them."""
+        pool, _ = _section_pool()
+        rows, dim = shape
+        context_at = self.reader.offset + rows * _COUNT.itemsize + _U32.size
+        order_at = context_at + rows * dim * dtype.itemsize + _U32.size
+        for what, offset, sink in zip(("context", "order"), (context_at, order_at), sinks):
+            read = (self.reader.fd, offset, shape, dtype, what, sink)
+            if own and what == "context":
+                self.own = read
+            else:
+                self.reads.append(pool.submit(_stream_rows, *read))
+
+    def finish(self) -> None:
+        """Wait for both sections, then close; a damaged section raises,
+        the context section's damage first."""
         try:
-            reader = _Reader(self.file.fileno())
+            if self.own:
+                _stream_rows(*self.own)
+            for read in self.reads:
+                read.result()
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Close the file once no read of it can still run: reads not yet
+        started are cancelled, the others waited for."""
+        for read in self.reads:
+            read.cancel()
+        wait(self.reads)
+        self.file.close()
+
+
+class _Load:
+    """One space file being loaded: its header, term table and counts read
+    and checked, its matrix sections streaming into the arrays it
+    allocated, the context section of the ``last`` file in ``finish``.
+    With ``terms`` (an array), only their rows are kept."""
+
+    def __init__(self, path, last: bool, terms=None):
+        self.file = _File(path)
+        try:
+            reader = self.file.reader
             self.space, dtype, table, _ = _read_header(reader)
             term_count = len(table[0])
             dim = self.space.config.dim
@@ -396,46 +398,31 @@ class _Load:
                 keep = np.isin(self.terms, terms)
                 self.terms = self.terms[keep]
             rows = term_count if keep is None else len(self.terms)
-            offsets = _matrix_offsets(reader.offset, term_count, dim * dtype.itemsize)
-            for what, offset in zip(("context", "order"), offsets):
-                # Allocated here, not in the pool threads: that kept peak
-                # RSS lower.
-                read = (reader.fd, np.empty((rows, dim), dtype=dtype), offset, what, keep)
-                if last and what == "context":
-                    self.own_read = read
-                else:
-                    self.reads.append(pool.submit(_read_section, *read))
+            # Allocated here, not in the pool threads: that kept peak RSS
+            # lower.
+            self.matrices = [np.empty((rows, dim), dtype=dtype) for _ in range(2)]
+            sinks = self.matrices if keep is None else [
+                _copy_kept(matrix, keep) for matrix in self.matrices]
+            self.file.stream((term_count, dim), dtype, sinks, own=last)
             # Meanwhile, the checks of what precedes them in the file, in
             # file order.
             if terms is None:
                 self.terms = _decode_terms(*table)
-            self.counts = _read_counts(reader.fd, reader.offset, term_count)
+            self.counts = _read_counts(reader, term_count)
             if keep is not None:
                 self.counts = self.counts[keep]
         except BaseException:
-            self.abandon()
+            self.file.close()
             raise
 
     def finish(self) -> SemanticSpace:
         """The loaded space; a damaged section raises, the context
         section's damage first."""
-        try:
-            own = [_read_section(*self.own_read)] if self.own_read else []
-            context, order = own + [read.result() for read in self.reads]
-        finally:
-            self.abandon()
+        self.file.finish()
         native = self.space.float_dtype
-        self.space.set_rows(self.terms, self.counts.astype(np.int64, copy=False),
-                            context.astype(native, copy=False), order.astype(native, copy=False))
+        context, order = (matrix.astype(native, copy=False) for matrix in self.matrices)
+        self.space.set_rows(self.terms, self.counts.astype(np.int64, copy=False), context, order)
         return self.space
-
-    def abandon(self) -> None:
-        """Close the file once no read of it can still run: reads not yet
-        started are cancelled, the others waited for."""
-        for read in self.reads:
-            read.cancel()
-        wait(self.reads)
-        self.file.close()
 
 
 _pool = None
@@ -468,16 +455,9 @@ def _drop_pool() -> None:
 os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _matrix_offsets(counts_at: int, term_count: int, row_bytes: int) -> tuple:
-    """The offsets of the context and order sections of a file whose counts
-    section starts at ``counts_at``; a checked layout puts them there."""
-    context_at = counts_at + term_count * _COUNT.itemsize + _U32.size
-    return context_at, context_at + term_count * row_bytes + _U32.size
-
-
-def _read_counts(fd: int, offset: int, term_count: int) -> np.ndarray:
-    """The counts section at ``offset``, checked."""
-    counts = _read_section(fd, np.empty(term_count, dtype=_COUNT), offset, "counts")
+def _read_counts(reader: _Reader, term_count: int) -> np.ndarray:
+    """The counts section at the reader's offset, checked."""
+    counts = reader.section(np.empty(term_count, dtype=_COUNT), "counts")
     if term_count and counts.min() < 0:
         raise SpaceFormatError("a stored count exceeds 2**63 - 1")
     return counts
@@ -520,7 +500,7 @@ def combine_files(paths) -> SemanticSpace:
     CombineMismatchError, before its sections are read) or if its header or
     term table are no longer those the first pass read (SpaceFormatError
     naming it), and adds its counts, context and order sections into the
-    result's rows as they stream past, the context section in a pool
+    result's rows as they stream past, the order section in a pool
     thread.  Every section is checked as ``load_space`` checks it, and the
     first damaged file in argument order raises, with the first damaged
     section; damage to a header or term table is found in the first pass,
@@ -533,27 +513,19 @@ def combine_files(paths) -> SemanticSpace:
 
 def _add_file(table: _Table, out: SemanticSpace, rows: np.ndarray) -> None:
     """Add the sections of ``table``'s file into ``out``'s ``rows``."""
-    pool, _ = _section_pool()
-    with open(table.path, "rb", buffering=0) as fh:
-        fd = fh.fileno()
-        if (os.fstat(fd).st_size != table.size
-                or _read_at(fd, bytearray(len(table.head)), 0, "header") != table.head):
+    file = _File(table.path)
+    try:
+        reader = file.reader
+        if reader.size != table.size or reader.take(len(table.head), "header") != table.head:
             raise SpaceFormatError(f"{table.path} changed while it was being combined")
         shape = (len(table.terms), out.config.dim)
-        context_at, order_at = _matrix_offsets(len(table.head), shape[0],
-                                               shape[1] * table.dtype.itemsize)
-        context = pool.submit(_stream_rows, fd, context_at, shape, table.dtype, "context",
-                              _add_into(out.context, rows))
-        try:
-            out.counts[rows] += _read_counts(fd, len(table.head), shape[0])
-            try:
-                _stream_rows(fd, order_at, shape, table.dtype, "order",
-                             _add_into(out.order, rows))
-            finally:
-                context.result()  # damage to the context section is reported first
-        finally:
-            context.cancel()
-            wait([context])
+        file.stream(shape, table.dtype, [_add_into(out.context, rows), _add_into(out.order, rows)],
+                    own=True)
+        out.counts[rows] += _read_counts(reader, shape[0])
+    except BaseException:
+        file.close()
+        raise
+    file.finish()
 
 
 def _read_header(reader: _Reader):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,32 @@ class TestBuild:
                 ]
             else:
                 assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_the_pool_has_no_more_workers_than_files(self, tmp_path, monkeypatch):
+        root = tmp_path / "corpus"
+        epochs = two_phase_epochs(n_epochs=2, switch_after=1, probe_sents=6, anchor_sents=3,
+                                  filler_sents=4)
+        for label, sentences in epochs.items():
+            write_epoch_dir(root, label, sentences, n_files=1)
+        sizes = []
+
+        class Recorded(ThreadPoolExecutor):  # forks nothing
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
+        base = ["build", "--corpus", str(root), *BUILD_FLAGS]
+        assert cli.main(base + ["--out", str(tmp_path / "seq")]) == cli.EXIT_OK
+        assert cli.main(base + ["--out", str(tmp_path / "six"), "--workers", "6"]) == cli.EXIT_OK
+        assert sizes == [2]
+        assert cli.main(base + ["--out", str(tmp_path / "one"), "--workers", "6",
+                                "--epochs", "e1"]) == cli.EXIT_OK
+        assert sizes == [2]  # one file: no pool
+        config = (tmp_path / "six" / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert "workers=6" in config
+        for name in ("e1.space", "e2.space", "vocabulary.tsv"):
+            assert (tmp_path / "six" / name).read_bytes() == (tmp_path / "seq" / name).read_bytes()
 
     def test_workers_env_variable(self, corpus_root, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "2")
@@ -1316,6 +1343,34 @@ class TestConfigFile:
         assert code == cli.EXIT_OK
         lines = (out / "config.txt").read_text(encoding="utf-8").splitlines()
         assert f"spaces={built / 'e1.space'},{built / 'e2.space'}" in lines
+
+    def test_a_path_with_a_comma_survives_config_txt(self, built, tmp_path, monkeypatch):
+        odd = tmp_path / "x,y"
+        odd.mkdir()
+        (odd / "e1.space").write_bytes((built / "e1.space").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        argv = ["normfreq", "gizmo", "--spaces", "x,y/e1.space", str(built / "e2.space"),
+                "--format", "tsv"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(argv + ["--out", str(first)]) == cli.EXIT_OK
+        lines = (first / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert f"spaces={tmp_path}/x\\,y/e1.space,{built / 'e2.space'}" in lines
+        code = cli.main(["normfreq", "gizmo", "--spaces", "unused.space", "--out", str(second),
+                         "--config", str(first / "config.txt")])
+        assert code == cli.EXIT_OK
+        for name in ("report.tsv", "config.txt"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.text(alphabet="a,\\ ", max_size=6), min_size=1, max_size=4))
+    def test_many_values_round_trip_through_their_config_form(self, values):
+        text = cli._join_values(values)
+        assert cli._split_values(text) == values
+        if not any("," in value for value in values) and not any(
+                value.endswith("\\") for value in values[:-1]):
+            assert text == ",".join(values)  # written as before
+        if "\\," not in text:
+            assert cli._split_values(text) == text.split(",")  # read as before
 
     def test_a_config_file_leaves_the_next_run_its_defaults(self, built, tmp_path):
         # The parser is built once per process; a --config value goes onto

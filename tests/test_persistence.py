@@ -1,7 +1,6 @@
 """Binary space files: round trips, canonical bytes, corruption detection."""
 
 import io
-import mmap
 import os
 import random
 import signal
@@ -562,16 +561,29 @@ class TestLoadSpaces:
                 np.testing.assert_array_equal(matrix, same + 1.0)
         assert load_spaces(paths) == again  # no load shares another's matrices
 
-    def test_dropped_pages_stay_inside_the_buffer(self):
-        block = np.full(5 * mmap.PAGESIZE, 7, dtype=np.uint8)
-        inner = block[100:-100]
-        persistence._drop_pages(inner)
-        assert np.all(block[:100] == 7) and np.all(block[-100:] == 7)
-        if persistence._madvise is not None:
-            assert np.count_nonzero(inner == 0) >= 3 * mmap.PAGESIZE
-        tiny = np.full(10, 7, dtype=np.uint8)
-        persistence._drop_pages(tiny)
-        assert np.all(tiny == 7)
+    def test_a_full_load_allocates_its_arrays_and_one_chunk_buffer_per_thread(
+            self, tmp_path, monkeypatch):
+        rows, dim = 4000, 128
+        rng = np.random.default_rng(5)
+        big = SemanticSpace(SpaceConfig(dim=dim, window=5), "big")
+        big.set_rows(np.array([f"t{k:05d}" for k in range(rows)]),
+                     np.arange(1, rows + 1, dtype=np.int64),
+                     rng.standard_normal((rows, dim)), rng.standard_normal((rows, dim)))
+        path = save_space(big, tmp_path / "big.space")
+        monkeypatch.setattr(persistence, "_CHUNK", 1 << 16)  # 64 rows, 63 chunks a section
+        # Any chunk buffer a reading thread needs is allocated during the load.
+        monkeypatch.setattr(persistence, "_buffers", threading.local())
+        readers = persistence._section_pool()[1] + 1  # the pool and the calling thread
+        tracemalloc.start()
+        try:
+            loaded = load_space(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_spaces_identical(loaded, big)
+        matrices = 2 * rows * dim * 8  # 8 MB; one section read whole would add 4 MB
+        # The rest is the term table, its decoded terms and the counts.
+        assert peak < matrices + readers * persistence._CHUNK + (1 << 20)
 
     def test_equals_one_load_per_file(self, paths):
         spaces = load_spaces(paths + paths[::-1])
@@ -592,8 +604,9 @@ class TestLoadSpaces:
         path.write_bytes(data.draw(_damaged(first, second)))
         at = data.draw(st.integers(0, 2))
         paths = good[:at] + [path] + good[at:]
-        # No terms, an empty list, absent terms, some or all of the files'
-        # terms; rows streamed one at a time, a few at a time or in one chunk.
+        # No terms (a full load), an empty list, absent terms, some or all of
+        # the files' terms; either way rows streamed one at a time, a few at
+        # a time or in one chunk.
         terms = data.draw(st.none() | st.lists(st.sampled_from(_FUZZ_TERMS)))
         chunk = data.draw(st.sampled_from([1, 100, persistence._CHUNK]))
         alone = _failure(load_space, path)
@@ -695,11 +708,11 @@ class TestLoadSpaces:
 
         def slow_section(*args):
             time.sleep(0.005)  # so that files wait for the pool
-            return read_section(*args)
+            return stream_rows(*args)
 
-        read_section = persistence._read_section
+        stream_rows = persistence._stream_rows
         monkeypatch.setattr(persistence, "open", Counted, raising=False)
-        monkeypatch.setattr(persistence, "_read_section", slow_section)
+        monkeypatch.setattr(persistence, "_stream_rows", slow_section)
         assert load_spaces(paths) == [space] * 20
         threads = persistence._section_pool()[1]
         assert opened == {"now": 0, "peak": threads + 1}
