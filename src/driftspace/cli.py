@@ -154,8 +154,9 @@ def _write_run_config(out_dir: Path, ns: argparse.Namespace) -> None:
 
 
 def _csv(text: str, flag: str) -> list:
-    """The distinct items of the comma-separated value of ``flag``."""
-    items = [piece.strip() for piece in text.split(",")]
+    """The distinct items of the comma-separated value of ``flag``; ``\\,``
+    is a comma inside an item, as config.txt writes it."""
+    items = [piece.strip() for piece in _split_values(text)]
     items = list(dict.fromkeys(item for item in items if item))
     if not items:
         raise ConfigError(f"{flag} lists no values, got {text!r}")

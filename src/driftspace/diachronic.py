@@ -156,10 +156,10 @@ def drift(space0: SemanticSpace, space1: SemanticSpace, min_total_count: int = 1
         candidates = np.array(sorted(set(terms)), dtype=str)
     else:
         candidates = np.union1d(space0.terms, space1.terms)
-    index0 = space0.neighbor_index(min_count=neighbor_min_count)
-    index1 = space1.neighbor_index(min_count=neighbor_min_count)
+    index0 = NeighborIndex(space0, neighbor_min_count)
+    index1 = NeighborIndex(space1, neighbor_min_count)
 
-    rows0, rows1 = _rows_of(space0, candidates), _rows_of(space1, candidates)
+    rows0, rows1 = space0.rows_of(candidates), space1.rows_of(candidates)
     both = (rows0 >= 0) & (rows1 >= 0)
     total_counts = np.zeros(len(candidates), dtype=np.int64)
     total_counts[both] = space0.counts[rows0[both]] + space1.counts[rows1[both]]
@@ -190,23 +190,17 @@ def drift(space0: SemanticSpace, space1: SemanticSpace, min_total_count: int = 1
     return DriftReport(space0.epoch_label, space1.epoch_label, records, excluded)
 
 
-def _rows_of(space: SemanticSpace, terms: np.ndarray) -> np.ndarray:
-    """Row of each of ``terms`` in ``space``, or -1 where it holds none."""
-    rows = np.searchsorted(space.terms, terms)
-    found = rows < len(space)
-    found[found] = space.terms[rows[found]] == terms[found]
-    return np.where(found, rows, -1)
-
-
 def _unit_rows(space: SemanticSpace, terms):
     """Those of ``terms`` the space holds with a nonzero context vector,
     and those vectors at unit length in 64-bit."""
-    present = [t for t in terms if t in space]
-    vectors = space.context[[space.row(t) for t in present]]
+    terms = np.asarray(terms, dtype=str)
+    rows = space.rows_of(terms)
+    present = rows >= 0
+    vectors = space.context[rows[present]]
     norms = row_norms(vectors)
     keep = np.flatnonzero(norms)
     units = np.divide(vectors[keep], norms[keep, None], dtype=np.float64)
-    return [present[i] for i in keep.tolist()], units
+    return terms[present][keep].tolist(), units
 
 
 def qualifier_gender(epoch_spaces, qualifiers, man_terms, woman_terms,
@@ -294,7 +288,6 @@ def equivalents(epoch_spaces, term: str, anchor_epoch: str, top_k: int = 2,
 
     per_epoch = {}
     for label in sorted(spaces):
-        # One query per epoch: an index kept on each space would only hold memory.
         index = NeighborIndex(spaces[label], min_count=min_count)
         hits = index.query(anchor, top_k, exclude={term} if exclude_self else ())
         per_epoch[label] = hits if hits else None

@@ -210,9 +210,13 @@ def accumulate_windows(ids, sentence_ids, seeds, perms: PermutationSet,
 class SemanticSpace:
     """Mutable accumulator for one epoch (or a combination of epochs).
 
-    The space is term-indexed: ``terms`` is a sorted array of unique terms,
-    and row k of ``counts`` (int64), ``context`` and ``order`` (V x dim,
-    in the space's float width) belongs to ``terms[k]``.
+    A space is its config, its label, its token total and four row arrays:
+    ``terms`` is a sorted array of unique terms, and row k of ``counts``
+    (int64), ``context`` and ``order`` (V x dim, in the space's float
+    width) belongs to ``terms[k]``.  A term's row is found by binary search
+    over ``terms`` (``rows_of``).  Nothing derived from the rows is kept,
+    so the arrays may be edited in place; a ``NeighborIndex`` built from
+    the space is the caller's to keep or rebuild.
 
     A space keeps no term weights: they are in the seeds ``ingest_ids`` takes.
     """
@@ -233,8 +237,6 @@ class SemanticSpace:
         self.counts = counts
         self.context = context
         self.order = order
-        self._rows = None
-        self._indexes = {}
 
     _ROWS = ("terms", "counts", "context", "order")
 
@@ -245,9 +247,7 @@ class SemanticSpace:
     @property
     def entries(self) -> dict:
         """``{term: TermEntry}`` built on each access, whose vectors are
-        writable views of the rows.  Access drops the cached neighbor
-        indexes, which edits made through the views would leave stale."""
-        self._indexes = {}
+        writable views of the rows."""
         return {
             term: TermEntry(self.context[k], self.order[k], count)
             for k, (term, count) in enumerate(zip(self.terms.tolist(), self.counts.tolist()))
@@ -264,12 +264,22 @@ class SemanticSpace:
     def seed(self, token: str) -> np.ndarray:
         return seed_vector(token, self.config.dim, self.config.global_seed)
 
+    def rows_of(self, terms) -> np.ndarray:
+        """The row of each of ``terms`` in ``counts``, ``context`` and
+        ``order``, or -1 where the space does not hold it: one binary search
+        over the sorted ``terms``.  The queries are cut to the width of the
+        space's terms, not the terms widened to theirs, so no lookup copies
+        the terms; a query cut short fails the equality test."""
+        terms = np.asarray(terms, dtype=str)
+        rows = np.searchsorted(self.terms, terms.astype(self.terms.dtype))
+        found = rows < len(self)
+        found[found] = self.terms[rows[found]] == terms[found]
+        return np.where(found, rows, -1)
+
     def row(self, term: str):
-        """Index of ``term`` in ``terms`` (its row in ``counts``, ``context``
-        and ``order``), or None if the space does not hold it."""
-        if self._rows is None:
-            self._rows = {t: k for k, t in enumerate(self.terms.tolist())}
-        return self._rows.get(term)
+        """``rows_of`` for one term, with None where the space does not hold it."""
+        k = int(self.rows_of([term])[0])
+        return None if k < 0 else k
 
     def __contains__(self, term: str) -> bool:
         return self.row(term) is not None
@@ -365,22 +375,16 @@ class SemanticSpace:
     def similarity(self, term_a: str, term_b: str) -> float:
         return cosine(self.term_vector(term_a), self.term_vector(term_b))
 
-    def neighbor_index(self, min_count: int = 1) -> "NeighborIndex":
-        """The space's NeighborIndex for ``min_count``, built on first use
-        and kept until the space next changes."""
-        if min_count not in self._indexes:
-            self._indexes[min_count] = NeighborIndex(self, min_count)
-        return self._indexes[min_count]
-
     def nearest_neighbors(self, query: np.ndarray, top_n: int, min_count: int = 1,
                           exclude=()) -> list:
         """Top terms by cosine against a unit-length query vector.
 
         Ranks by similarity descending, ties broken lexicographically
         ascending.  Entries below min_count or with zero vectors are
-        skipped; terms in ``exclude`` are never returned.
+        skipped; terms in ``exclude`` are never returned.  Each call builds
+        a ``NeighborIndex``; keep one to query a space many times.
         """
-        return self.neighbor_index(min_count).query(query, top_n, exclude)
+        return NeighborIndex(self, min_count).query(query, top_n, exclude)
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:
@@ -414,11 +418,11 @@ _QUERY_BLOCK = 64
 class NeighborIndex:
     """A space's context rows and their norms, for neighbor queries over
     the terms with at least ``min_count`` occurrences and a nonzero
-    vector.  ``SemanticSpace.neighbor_index`` keeps one per space for
-    repeated queries (drift neighbor lists) until the space changes: the
-    index may share the space's matrix.  It holds no normalized copy: a
-    query scales its scores by the inverse norms, and divides only the
-    rows that can rank."""
+    vector.  The index may share the space's matrix but keeps the norms
+    of its rows as they were when it was built: after the space's rows
+    change, build a new one.  It holds no normalized copy: a query scales
+    its scores by the inverse norms, and divides only the rows that can
+    rank."""
 
     def __init__(self, space: SemanticSpace, min_count: int = 1):
         norms = row_norms(space.context)

@@ -1361,6 +1361,43 @@ class TestConfigFile:
         for name in ("report.tsv", "config.txt"):
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_an_epoch_label_with_a_comma_is_named_by_its_escape(self, tmp_path):
+        root = tmp_path / "corpus"
+        epochs = two_phase_epochs(
+            n_epochs=2, switch_after=1, probe_sents=15, anchor_sents=5, filler_sents=10)
+        for label, sentences in zip(["a,b", "c"], epochs.values()):
+            write_epoch_dir(root, label, sentences)
+        full, subset, again = tmp_path / "full", tmp_path / "subset", tmp_path / "again"
+        assert cli.main(["build", "--corpus", str(root), "--out", str(full),
+                         *BUILD_FLAGS]) == cli.EXIT_OK
+        assert cli.main(["build", "--corpus", str(root), "--out", str(subset),
+                         "--epochs", "a\\,b", *BUILD_FLAGS]) == cli.EXIT_OK
+        assert sorted(p.name for p in subset.glob("*.space")) == ["a,b.space"]
+        lines = (subset / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert "epochs=a\\,b" in lines
+        code = cli.main(["build", "--corpus", str(root), "--out", str(again),
+                         "--config", str(subset / "config.txt")])
+        assert code == cli.EXIT_OK
+        for name in ("a,b.space", "vocabulary.tsv", "config.txt"):
+            assert (again / name).read_bytes() == (subset / name).read_bytes(), name
+        terms = {}
+        for flag, words in (("--qualifiers", "mango\nrouter\n"), ("--man-terms", "papaya\n"),
+                            ("--woman-terms", "modem\n")):
+            terms[flag] = tmp_path / f"{flag[2:]}.txt"
+            terms[flag].write_text(words, encoding="utf-8")
+        argv = ["bias", "--spaces", str(full / "a,b.space"), str(full / "c.space"),
+                *(str(part) for item in terms.items() for part in item),
+                "--period", "a\\,b", "--format", "json"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(argv + ["--out", str(first)]) == cli.EXIT_OK
+        data = json.loads((first / "report.json").read_text(encoding="utf-8"))
+        assert data["period"] == "a,b"
+        assert list(data["votes"]) == ["a,b"]
+        code = cli.main(argv + ["--out", str(second), "--config", str(first / "config.txt")])
+        assert code == cli.EXIT_OK
+        for name in ("report.json", "config.txt"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.text(alphabet="a,\\ ", max_size=6), min_size=1, max_size=4))
     def test_many_values_round_trip_through_their_config_form(self, values):

@@ -476,21 +476,28 @@ class TestNeighborIndex:
             units = index.unit_rows(np.arange(len(index.terms)))
             assert units.tobytes() == np.vstack(rows).tobytes()
 
-    def test_index_is_cached_until_the_space_changes(self):
-        space = build_space(SMALL, "e", [["a", "b", "c"], ["b", "d"]])
-        index = space.neighbor_index()
-        assert space.neighbor_index() is index
-        assert space.neighbor_index(min_count=2) is not index
-        units = _units(index)
+    def test_a_query_sees_every_change_to_the_rows(self):
+        space = build_space(SMALL, "e", [["a", "b", "c"], ["b", "d"], ["a", "c", "d"]])
+        q = space.term_vector("a", normalized=True)
+        before = space.nearest_neighbors(q, 4)
         space.ingest_sentence(["d", "a"])  # known terms: only the rows change
-        fresh = space.neighbor_index()
-        assert fresh is not index
-        assert not np.array_equal(_units(fresh), units)
+        assert space.nearest_neighbors(q, 4) != before
+        assert space.nearest_neighbors(q, 4) == NeighborIndex(space).query(q, 4)
         space.ingest_sentence(["e", "a"])
-        assert "e" in set(space.neighbor_index().terms)
-        fresh = space.neighbor_index()
-        space.entries["a"].context[0] += 1.0
-        assert space.neighbor_index() is not fresh
+        assert "e" in {term for term, _ in space.nearest_neighbors(q, 5)}
+        # In-place edits of the rows, each against a fresh index.
+        space.context[space.row("b")] *= 100  # every cosine of b is kept
+        hits = space.nearest_neighbors(q, 4)
+        assert hits == NeighborIndex(space).query(q, 4)
+        assert all(abs(sim) <= 1.0 + 1e-9 for _, sim in hits)  # cosines, not stale norms
+        space.context[space.row("c")] = 0.0  # a zero vector never ranks
+        hits = space.nearest_neighbors(q, 5)
+        assert hits == NeighborIndex(space).query(q, 5)
+        assert "c" not in {term for term, _ in hits}
+        space.entries["d"].context[:] = space.context[space.row("a")]
+        hits = space.nearest_neighbors(q, 2)
+        assert hits == NeighborIndex(space).query(q, 2)
+        assert {term for term, _ in hits} == {"a", "d"}
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -569,6 +576,9 @@ class TestNeighborIndex:
         np.testing.assert_array_equal([s for _, s in ranked], [s for _, s in full])
 
 
+_LETTERS = st.sampled_from(["a", "b", "é", "ß", "语", "😀"])
+
+
 class TestArrays:
     def test_entries_are_views_of_the_rows(self):
         space = build_space(SMALL, "e", [["a", "b"], ["b", "c"]])
@@ -580,6 +590,26 @@ class TestArrays:
         k = space.row("b")
         assert space.context[k, 0] == entries["b"].context[0]
         assert space.order[k, 1] == 7.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # A small alphabet with non-ASCII letters makes prefix pairs such as
+        # a/ab common, and queries longer than every held term.
+        terms=st.sets(st.text(_LETTERS, min_size=1, max_size=4), max_size=12),
+        queries=st.lists(st.text(_LETTERS, max_size=6), max_size=12),
+    )
+    def test_rows_of_agrees_with_a_term_dict(self, terms, queries):
+        terms = sorted(terms)
+        space = SemanticSpace(SMALL, "e")
+        rows = np.zeros((len(terms), SMALL.dim))
+        space.set_rows(np.array(terms, dtype=str), np.arange(1, len(terms) + 1), rows, rows.copy())
+        index = {term: k for k, term in enumerate(terms)}
+        queries = queries + terms
+        assert space.rows_of(queries).tolist() == [index.get(q, -1) for q in queries]
+        for q in queries:
+            assert space.row(q) == index.get(q)
+            assert space.count(q) == index.get(q, -1) + 1
+            assert (q in space) == (q in index)
 
     def test_ingest_ids_needs_sorted_terms(self):
         space = SemanticSpace(SMALL, "e")
