@@ -33,7 +33,14 @@ from .errors import (
     UndefinedSimilarityError,
     VersionMismatchError,
 )
-from .persistence import combine_files, load_space, load_spaces, save_space, write_space_tsv
+from .persistence import (
+    combine_files,
+    equivalents_files,
+    load_space,
+    load_spaces,
+    save_space,
+    write_space_tsv,
+)
 from .space import (
     NeighborIndex,
     SemanticSpace,
@@ -82,6 +89,7 @@ __all__ = [
     "cosine",
     "drift",
     "equivalents",
+    "equivalents_files",
     "inverse_log_weights",
     "load_space",
     "load_spaces",

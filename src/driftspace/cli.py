@@ -71,13 +71,15 @@ def _join_values(values) -> str:
     return ",".join([re.sub(r"\\+\Z", r"\g<0>\g<0>", v) for v in values[:-1]] + values[-1:])
 
 
-def _split_values(text: str) -> list:
-    pieces = re.split(r"(\\*),", text)  # a value's text, a backslash run, text, ...
+def _split_values(text: str, sep: str = ",") -> list:
+    """``text`` split at each ``sep`` not escaped by a backslash (``\\,``
+    for a comma), read as ``_join_values`` writes it."""
+    pieces = re.split(r"(\\*)" + re.escape(sep), text)  # text, a backslash run, text, ...
     values = [pieces[0]]
     for run, piece in zip(pieces[1::2], pieces[2::2]):
-        values[-1] += run[:len(run) // 2]  # an odd run ends in an escaped comma
+        values[-1] += run[:len(run) // 2]  # an odd run ends in an escaped separator
         if len(run) % 2:
-            values[-1] += "," + piece
+            values[-1] += sep + piece
         else:
             values.append(piece)
     return values
@@ -384,26 +386,30 @@ def cmd_bias(ns: argparse.Namespace) -> int:
     epochs = persistence.load_spaces(ns.spaces, terms=qualifiers + man_terms + woman_terms)
     period = None
     if ns.period:
-        labels = sorted(space.epoch_label for space in epochs)
-        if ":" in ns.period:
-            start, _, end = ns.period.partition(":")
-            period = [label for label in labels if start <= label <= end]
-            if not period:
-                raise ConfigError(
-                    f"period {ns.period!r} selects no epochs from {labels}"
-                )
-        else:
-            period = _csv(ns.period, "--period")
+        period = _period(ns.period, sorted(space.epoch_label for space in epochs))
     report = diachronic.qualifier_gender(
         epochs, qualifiers, man_terms, woman_terms, period=period
     )
     return _emit(ns, report)
 
 
+def _period(text: str, labels) -> list:
+    """The epochs of ``labels`` that --period names: a ``start:end`` range
+    split at the first colon not escaped as ``\\:``, else a comma list.
+    ``\\:`` is a colon inside a label, as ``\\,`` is a comma inside an item."""
+    bounds = _split_values(text, ":")
+    if len(bounds) > 1:
+        start, end = bounds[0], ":".join(bounds[1:])
+        period = [label for label in labels if start <= label <= end]
+        if not period:
+            raise ConfigError(f"period {text!r} selects no epochs from {labels}")
+        return period
+    return [_split_values(item, ":")[0] for item in _csv(text, "--period")]
+
+
 def cmd_equiv(ns: argparse.Namespace) -> int:
-    epochs = persistence.load_spaces(ns.spaces)
-    report = diachronic.equivalents(
-        epochs,
+    report = persistence.equivalents_files(
+        ns.spaces,
         ns.term,
         ns.anchor_epoch,
         top_k=ns.equiv_top_k,
@@ -551,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="file, one qualifier per line")
     bias.add_argument("--man-terms", type=_path, required=True)
     bias.add_argument("--woman-terms", type=_path, required=True)
-    bias.add_argument("--period", help="label range start:end or comma list")
+    bias.add_argument("--period", help="label range start:end or comma list; "
+                      "\\: and \\, escape a colon and a comma")
     _add_report_flags(bias)
     bias.set_defaults(func=cmd_bias)
 

@@ -15,8 +15,8 @@ from statistics import fmean
 import numpy as np
 
 from .errors import ConfigError, MissingDataError, TermNotFoundError, UndefinedSimilarityError
-from .space import (NeighborIndex, SemanticSpace, by_epoch_label, ensure_same_config, row_norms,
-                    seed_matrix, top_ranked)
+from .space import (NeighborIndex, RowScores, SemanticSpace, by_epoch_label, ensure_same_config,
+                    row_norms, seed_matrix, top_ranked)
 from .vectors import apply_permutation
 
 # Category boundaries on the inter-period similarity, highest first:
@@ -275,22 +275,44 @@ def equivalents(epoch_spaces, term: str, anchor_epoch: str, top_k: int = 2,
 
     The anchor vector comes from the term's entry in the ``anchor_epoch``
     space; every epoch then reports its ``top_k`` nearest terms with at
-    least ``min_count`` occurrences.  Epochs with no eligible candidate at
-    all are marked absent (None), not zero-filled.  With ``exclude_self``
-    left off, the anchor epoch's own top hit is the term itself.
+    least ``min_count`` occurrences, as ``NeighborIndex.query`` ranks them
+    (``RowScores``).  Epochs with no eligible candidate at all are marked
+    absent (None), not zero-filled.  With ``exclude_self`` left off, the
+    anchor epoch's own top hit is the term itself.
+    ``persistence.equivalents_files`` is the streaming path, into the same
+    report.
     """
+    _check_top_k(top_k)
+    spaces = _anchored(epoch_spaces, anchor_epoch)
+    anchor = spaces[anchor_epoch].term_vector(term, normalized=True)
+    epochs = {label: (space.terms, space.counts,
+                      RowScores(anchor, len(space)).score_all(space.context))
+              for label, space in spaces.items()}
+    return _equivalence_report(epochs, term, anchor_epoch, top_k, min_count, exclude_self)
+
+
+def _check_top_k(top_k: int) -> None:
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
+
+
+def _anchored(epoch_spaces, anchor_epoch: str) -> dict:
+    """``_labeled_spaces``, which must hold ``anchor_epoch``."""
     spaces = _labeled_spaces(epoch_spaces)
     if anchor_epoch not in spaces:
         raise MissingDataError(f"no epoch labeled {anchor_epoch!r} among the spaces")
-    anchor = spaces[anchor_epoch].term_vector(term, normalized=True)
+    return spaces
 
+
+def _equivalence_report(epochs: dict, term: str, anchor_epoch: str, top_k: int,
+                        min_count: int, exclude_self: bool) -> EquivalenceReport:
+    """The ``equivalents`` report from ``{label: (terms, counts, RowScores)}``,
+    each epoch's rows scored against the anchor."""
+    exclude = {term} if exclude_self else ()
     per_epoch = {}
-    for label in sorted(spaces):
-        index = NeighborIndex(spaces[label], min_count=min_count)
-        hits = index.query(anchor, top_k, exclude={term} if exclude_self else ())
-        per_epoch[label] = hits if hits else None
+    for label in sorted(epochs):
+        terms, counts, scores = epochs[label]
+        per_epoch[label] = scores.ranked(terms, counts, top_k, min_count, exclude) or None
     return EquivalenceReport(term, anchor_epoch, per_epoch)
 
 

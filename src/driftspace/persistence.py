@@ -32,11 +32,13 @@ the checked term lengths fix, so a load checks the whole layout against the
 file size before it allocates an array.  The term table and counts are read
 whole; the matrix sections stream in chunks of whole rows, each fed to the
 CRC-32 as it arrives (``_stream_rows``), on every core (``_File``).  A full
-load reads the chunks straight into the space's arrays; a restricted load
-(``load_spaces(paths, terms)``) copies the kept rows, and ``combine_files``
-adds every row into ``combine``'s sum, out of one reused buffer per reading
-thread.  Version 1 files (one checksummed record per term) are refused with
-VersionMismatchError.
+load reads the chunks straight into the space's arrays.  The other readers
+take them out of one reused buffer per reading thread: a restricted load
+(``load_spaces(paths, terms)``) copies the kept rows, ``combine_files`` adds
+every row into ``combine``'s sum, and ``equivalents_files`` scores every
+context row against the anchor (``space.RowScores``) and keeps no row, its
+order sections only passing their CRC-32s.  Version 1 files (one
+checksummed record per term) are refused with VersionMismatchError.
 """
 
 from __future__ import annotations
@@ -59,10 +61,13 @@ from .errors import (
     ChecksumError,
     ConfigError,
     SpaceFormatError,
+    TermNotFoundError,
     TruncatedFileError,
     VersionMismatchError,
 )
-from .space import SemanticSpace, SpaceConfig, WEIGHTINGS, _summed
+from . import diachronic
+from .space import (WEIGHTINGS, RowScores, SemanticSpace, SpaceConfig, _summed, rows_in,
+                    unit_vector)
 from .vectors import HASH_ALGORITHM_ID
 
 MAGIC = b"DRIFTSPC"
@@ -342,13 +347,13 @@ class _File:
         self.reader = _Reader(self.file.fileno())
         self.reads, self.own = [], None
 
-    def stream(self, shape: tuple, dtype: np.dtype, sinks, own: bool) -> None:
+    def stream(self, counts_at: int, shape: tuple, dtype: np.dtype, sinks, own: bool) -> None:
         """Start streaming the context and order sections, ``shape`` =
-        (rows, dim) floats of ``dtype`` each, into ``sinks``; the reader
-        stands at the counts section, which precedes them."""
+        (rows, dim) floats of ``dtype`` each, into ``sinks``; the counts
+        section, at ``counts_at``, precedes them."""
         pool, _ = _section_pool()
         rows, dim = shape
-        context_at = self.reader.offset + rows * _COUNT.itemsize + _U32.size
+        context_at = _context_at(counts_at, rows)
         order_at = context_at + rows * dim * dtype.itemsize + _U32.size
         for what, offset, sink in zip(("context", "order"), (context_at, order_at), sinks):
             read = (self.reader.fd, offset, shape, dtype, what, sink)
@@ -377,6 +382,12 @@ class _File:
         self.file.close()
 
 
+def _context_at(counts_at: int, rows: int) -> int:
+    """The offset of the context section, after the counts section at
+    ``counts_at`` and its CRC-32."""
+    return counts_at + rows * _COUNT.itemsize + _U32.size
+
+
 class _Load:
     """One space file being loaded: its header, term table and counts read
     and checked, its matrix sections streaming into the arrays it
@@ -403,7 +414,7 @@ class _Load:
             self.matrices = [np.empty((rows, dim), dtype=dtype) for _ in range(2)]
             sinks = self.matrices if keep is None else [
                 _copy_kept(matrix, keep) for matrix in self.matrices]
-            self.file.stream((term_count, dim), dtype, sinks, own=last)
+            self.file.stream(reader.offset, (term_count, dim), dtype, sinks, own=last)
             # Meanwhile, the checks of what precedes them in the file, in
             # file order.
             if terms is None:
@@ -519,13 +530,183 @@ def _add_file(table: _Table, out: SemanticSpace, rows: np.ndarray) -> None:
         if reader.size != table.size or reader.take(len(table.head), "header") != table.head:
             raise SpaceFormatError(f"{table.path} changed while it was being combined")
         shape = (len(table.terms), out.config.dim)
-        file.stream(shape, table.dtype, [_add_into(out.context, rows), _add_into(out.order, rows)],
-                    own=True)
+        file.stream(reader.offset, shape, table.dtype,
+                    [_add_into(out.context, rows), _add_into(out.order, rows)], own=True)
         out.counts[rows] += _read_counts(reader, shape[0])
     except BaseException:
         file.close()
         raise
     file.finish()
+
+
+def equivalents_files(paths, term: str, anchor_epoch: str, top_k: int = 2, min_count: int = 1,
+                      exclude_self: bool = False):
+    """``diachronic.equivalents(load_spaces(paths), ...)``, streamed: no
+    epoch is loaded, and each context row is scored against the anchor as
+    it streams past.
+
+    After the flag check, a label pass reads each file's fixed header and
+    label and finds the anchor epoch's file.  Its header, term table and
+    counts are read and checked, and the anchor term's context row is read
+    with one ``preadv``.  Then each file in argument order has its header
+    (refused as changed if it no longer begins with what the label pass
+    read), term table and counts checked on the calling thread, while its
+    context section streams through a ``RowScores`` of the anchor and its
+    order section past its CRC-32, in pool threads; the last file's context
+    section streams on the calling thread, and the anchor row must stream
+    as it was read.  At most one file more than the pool has threads is
+    open at a time.  Nothing is ranked before every section of every file
+    has passed its check, and the errors are those of ``equivalents`` over
+    ``load_spaces(paths)``: the first damaged file in argument order, then
+    the labels and configs, the anchor epoch, the term and its vector.
+    """
+    diachronic._check_top_k(top_k)
+    paths = list(paths)
+    heads = [_label_head(path) for path in paths]
+    at = next((k for k, head in enumerate(heads) if head and head[1] == anchor_epoch), None)
+    anchor = query = failure = None
+    if at is not None:
+        try:
+            anchor = _Scan(paths[at], heads[at][0])
+            query = anchor.anchor_vector(term)
+        except Exception as exc:
+            # Raised once every file has been checked: damage to this file
+            # or an earlier one comes first, as in a load.
+            anchor, failure = None, exc
+    scans = _scan_all(paths, heads, at, anchor, query)
+    diachronic._anchored([scan.space for scan in scans], anchor_epoch)
+    if failure is not None:
+        raise failure
+    epochs = {scan.space.epoch_label: (scan.terms, scan.counts, scan.scores) for scan in scans}
+    return diachronic._equivalence_report(epochs, term, anchor_epoch, top_k, min_count,
+                                          exclude_self)
+
+
+def _label_head(path):
+    """The fixed header, label length and label of the file at ``path``,
+    as bytes, and the label, none of them checked; None if they cannot be
+    read."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            reader = _Reader(fh.fileno())
+            fixed = reader.take(_FIXED_HEADER.size + _U32.size, "fixed header")
+            label = reader.take(_U32.unpack_from(fixed, _FIXED_HEADER.size)[0], "epoch label")
+        return fixed + label, label.decode("utf-8")
+    except (OSError, ValueError, SpaceFormatError):
+        return None
+
+
+def _scan_all(paths, heads, at: int | None, anchor, query) -> list:
+    """Every file's ``_Scan``, in argument order; the ``anchor`` scan, if
+    any, is the file at ``at``, held open until its turn.  Each file whose
+    config is the anchor file's is scored against ``query``; the others
+    only pass their checks."""
+    _, threads = _section_pool()
+    config = None if anchor is None else anchor.space.config
+    scans, pending = [], deque()
+    try:
+        for k, (path, head) in enumerate(zip(paths, heads)):
+            while len(pending) + (anchor is not None) > threads:
+                pending.popleft().file.finish()
+            try:
+                if k == at and anchor is not None:
+                    scan, anchor = anchor, None
+                else:
+                    scan = _Scan(path, head and head[0])
+                scan.start(query if scan.space.config == config else None, own=k == len(paths) - 1)
+            except Exception:
+                # Damage in an earlier file is reported first.
+                while pending:
+                    pending.popleft().file.finish()
+                raise
+            pending.append(scan)
+            scans.append(scan)
+        while pending:
+            pending.popleft().file.finish()
+    finally:
+        for scan in pending:
+            scan.file.close()
+        if anchor is not None:
+            anchor.file.close()
+    return scans
+
+
+def _past(first, chunk) -> None:
+    """A ``_stream_rows`` sink that keeps nothing: the section only passes
+    its CRC-32 check."""
+
+
+class _Scan:
+    """One space file of ``equivalents_files``, open on one descriptor:
+    its header, read and checked, must begin with ``head``, the bytes the
+    label pass read.  ``start`` scores its context rows against a query as
+    they stream and reads its term table and counts.  A method that fails
+    closes the file."""
+
+    def __init__(self, path, head):
+        self.path = path
+        self.file = _File(path)
+        reader = self.file.reader
+        try:
+            self.space, self.dtype, self.table, header = _read_header(reader)
+            if head is None or not header.startswith(head):
+                raise SpaceFormatError(f"{path} changed while it was being read")
+        except BaseException:
+            self.file.close()
+            raise
+        self.counts_at = reader.offset
+        self.shape = (len(self.table[0]), self.space.config.dim)
+        self.terms = self.scores = self.row = None
+
+    def _read_rows(self) -> None:
+        """Decode the term table, read the counts; both are checked."""
+        self.terms = _decode_terms(*self.table)
+        self.table = None
+        self.counts = _read_counts(self.file.reader, self.shape[0])
+
+    def anchor_vector(self, term: str) -> np.ndarray:
+        """``term_vector(term, normalized=True)`` of the file's space, from
+        its term table and counts and one read of the term's context row."""
+        try:
+            self._read_rows()
+            k = int(rows_in(self.terms, [term])[0])
+            if k < 0:
+                raise TermNotFoundError(term)
+            row = np.empty(self.shape[1], dtype=self.dtype)
+            offset = _context_at(self.counts_at, self.shape[0]) + k * row.nbytes
+            _read_at(self.file.reader.fd, _raw_bytes(row), offset, "context section")
+            self.row = k, row.tobytes()
+            return unit_vector(row.astype(self.space.float_dtype), term)
+        except BaseException:
+            self.file.close()
+            raise
+
+    def start(self, query, own: bool) -> None:
+        """Start streaming both matrix sections, the context section into a
+        ``RowScores`` of ``query`` (past its check only, if ``query`` is
+        None), then read the term table and counts unless ``anchor_vector``
+        has.  The row that read must stream as it was read."""
+        try:
+            sink = _past
+            if query is not None:
+                sink = self.scores = RowScores(query, self.shape[0])
+            if self.row is not None:
+                sink = _reading_row_as(sink, *self.row, self.path)
+            self.file.stream(self.counts_at, self.shape, self.dtype, [sink, _past], own)
+            if self.terms is None:
+                self._read_rows()
+        except BaseException:
+            self.file.close()
+            raise
+
+
+def _reading_row_as(sink, k: int, row: bytes, path):
+    """``sink``, after checking that the section's row ``k`` is ``row``."""
+    def check(first, chunk):
+        if 0 <= k - first < len(chunk) and chunk[k - first].tobytes() != row:
+            raise SpaceFormatError(f"{path} changed while it was being read")
+        sink(first, chunk)
+    return check
 
 
 def _read_header(reader: _Reader):

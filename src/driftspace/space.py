@@ -266,15 +266,8 @@ class SemanticSpace:
 
     def rows_of(self, terms) -> np.ndarray:
         """The row of each of ``terms`` in ``counts``, ``context`` and
-        ``order``, or -1 where the space does not hold it: one binary search
-        over the sorted ``terms``.  The queries are cut to the width of the
-        space's terms, not the terms widened to theirs, so no lookup copies
-        the terms; a query cut short fails the equality test."""
-        terms = np.asarray(terms, dtype=str)
-        rows = np.searchsorted(self.terms, terms.astype(self.terms.dtype))
-        found = rows < len(self)
-        found[found] = self.terms[rows[found]] == terms[found]
-        return np.where(found, rows, -1)
+        ``order``, or -1 where the space does not hold it (``rows_in``)."""
+        return rows_in(self.terms, terms)
 
     def row(self, term: str):
         """``rows_of`` for one term, with None where the space does not hold it."""
@@ -363,14 +356,7 @@ class SemanticSpace:
         if k is None:
             raise TermNotFoundError(term)
         out = np.array((self.context if kind == "context" else self.order)[k], copy=True)
-        if normalized:
-            norm = np.linalg.norm(out)
-            if norm == 0.0:
-                raise UndefinedSimilarityError(
-                    f"term {term!r} has a zero {kind} vector"
-                )
-            out = out / norm
-        return out
+        return unit_vector(out, term, kind) if normalized else out
 
     def similarity(self, term_a: str, term_b: str) -> float:
         return cosine(self.term_vector(term_a), self.term_vector(term_b))
@@ -385,6 +371,27 @@ class SemanticSpace:
         a ``NeighborIndex``; keep one to query a space many times.
         """
         return NeighborIndex(self, min_count).query(query, top_n, exclude)
+
+
+def rows_in(sorted_terms: np.ndarray, terms) -> np.ndarray:
+    """The index of each of ``terms`` in the array ``sorted_terms``, or -1
+    where it does not occur: one binary search.  The queries are cut to the
+    width of ``sorted_terms``, not it widened to theirs, so no lookup copies
+    it; a query cut short fails the equality test."""
+    terms = np.asarray(terms, dtype=str)
+    rows = np.searchsorted(sorted_terms, terms.astype(sorted_terms.dtype))
+    found = rows < len(sorted_terms)
+    found[found] = sorted_terms[rows[found]] == terms[found]
+    return np.where(found, rows, -1)
+
+
+def unit_vector(vector: np.ndarray, term: str, kind: str = "context") -> np.ndarray:
+    """``vector``, the ``kind`` vector of ``term``, divided by its norm in
+    its own width; a zero vector is an UndefinedSimilarityError."""
+    norm = np.linalg.norm(vector)
+    if norm == 0.0:
+        raise UndefinedSimilarityError(f"term {term!r} has a zero {kind} vector")
+    return vector / norm
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:
@@ -408,6 +415,55 @@ def top_ranked(scores: np.ndarray, terms: np.ndarray, n: int) -> list:
         candidates = np.flatnonzero(~(negated > kth))
     ranked = candidates[np.lexsort((terms[candidates], negated[candidates]))]
     return [(str(terms[i]), float(scores[i])) for i in ranked[:n]]
+
+
+# Rows ``RowScores.score_all`` scores at a time; bounds its 64-bit
+# temporary to _SCORE_ROWS * dim floats.
+_SCORE_ROWS = 1024
+
+
+class RowScores:
+    """The similarity of each row of one context matrix to a unit query,
+    scored as the rows arrive, a chunk at a time and in any order
+    (``scores(first, chunk)``), then ranked (``ranked``).  It holds two
+    numbers per row, never the rows: a stream of the matrix can be scored
+    without loading it."""
+
+    def __init__(self, query: np.ndarray, n_rows: int):
+        self.query = np.asarray(query, dtype=np.float64)
+        self.sims = np.empty(n_rows)
+        self.nonzero = np.empty(n_rows, dtype=bool)
+
+    def __call__(self, first: int, chunk: np.ndarray) -> None:
+        """Score ``chunk``, the matrix's rows from row ``first`` on: each
+        row divided by its norm (``row_norms``, in the rows' width) in
+        64-bit, then one dot product with the query.  These are the bits
+        ``NeighborIndex.query``'s rescore gives the row."""
+        norms = row_norms(chunk)
+        rows = slice(first, first + len(chunk))
+        self.nonzero[rows] = norms != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero rows never rank
+            units = np.divide(chunk, norms[:, None], dtype=np.float64)
+        self.sims[rows] = np.vecdot(units, self.query)
+
+    def score_all(self, matrix: np.ndarray) -> "RowScores":
+        """Score every row of ``matrix``, block by block."""
+        for first in range(0, len(matrix), _SCORE_ROWS):
+            self(first, matrix[first:first + _SCORE_ROWS])
+        return self
+
+    def ranked(self, terms: np.ndarray, counts: np.ndarray, top_n: int, min_count: int = 1,
+               exclude=()) -> list:
+        """``NeighborIndex.query``'s list for the query over a space with
+        these ``terms`` and ``counts``: the first ``top_n`` rows with at
+        least ``min_count`` occurrences and a nonzero vector, not in
+        ``exclude``, by similarity descending, ties by term (``top_ranked``).
+        The preselect proof of ``NeighborIndex._query_block`` makes the two
+        lists equal."""
+        keep = self.nonzero & (counts >= min_count)
+        if exclude:
+            keep &= ~np.isin(terms, np.array(list(exclude), dtype=str))
+        return top_ranked(self.sims[keep], terms[keep], top_n)
 
 
 # Queries scored per BLAS product in ``NeighborIndex.query_many``; bounds

@@ -1398,6 +1398,58 @@ class TestConfigFile:
         for name in ("report.json", "config.txt"):
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_an_epoch_label_with_a_colon_is_named_by_its_escape(self, tmp_path):
+        root = tmp_path / "corpus"
+        epochs = two_phase_epochs(
+            n_epochs=3, switch_after=1, probe_sents=15, anchor_sents=5, filler_sents=10)
+        for label, sentences in zip(["a:b", "a1", "c"], epochs.values()):
+            write_epoch_dir(root, label, sentences)
+        built = tmp_path / "built"
+        assert cli.main(["build", "--corpus", str(root), "--out", str(built),
+                         *BUILD_FLAGS]) == cli.EXIT_OK
+        terms = {}
+        for flag, words in (("--qualifiers", "mango\nrouter\n"), ("--man-terms", "papaya\n"),
+                            ("--woman-terms", "modem\n")):
+            terms[flag] = tmp_path / f"{flag[2:]}.txt"
+            terms[flag].write_text(words, encoding="utf-8")
+        spaces = [str(built / f"{label}.space") for label in ("a:b", "a1", "c")]
+        for period, label, votes in (("a\\:b", "a:b", ["a:b"]), ("a\\:b,c", "a:b-c", ["a:b", "c"])):
+            argv = ["bias", "--spaces", *spaces,
+                    *(str(part) for item in terms.items() for part in item),
+                    "--period", period, "--format", "json"]
+            first, second = tmp_path / f"first-{label}", tmp_path / f"second-{label}"
+            assert cli.main(argv + ["--out", str(first)]) == cli.EXIT_OK
+            data = json.loads((first / "report.json").read_text(encoding="utf-8"))
+            assert data["period"] == label
+            assert list(data["votes"]) == votes
+            assert f"period={period}" in (first / "config.txt").read_text(encoding="utf-8")
+            code = cli.main(argv + ["--out", str(second), "--config", str(first / "config.txt")])
+            assert code == cli.EXIT_OK
+            for name in ("report.json", "config.txt"):
+                assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="ab:, ", min_size=1, max_size=8))
+    def test_a_period_without_a_backslash_parses_as_before(self, text):
+        labels = ["a", "a:b", "ab", "b", "b,a"]
+
+        def before(text):  # the parse before colons could be escaped
+            if ":" in text:
+                start, _, end = text.partition(":")
+                period = [label for label in labels if start <= label <= end]
+                if not period:
+                    raise ConfigError(f"period {text!r} selects no epochs from {labels}")
+                return period
+            return cli._csv(text, "--period")
+
+        def outcome(parse):
+            try:
+                return parse(text, labels) if parse is cli._period else parse(text)
+            except ConfigError as exc:
+                return str(exc)
+
+        assert outcome(cli._period) == outcome(before)
+
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.text(alphabet="a,\\ ", max_size=6), min_size=1, max_size=4))
     def test_many_values_round_trip_through_their_config_form(self, values):

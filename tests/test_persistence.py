@@ -1,15 +1,18 @@
 """Binary space files: round trips, canonical bytes, corruption detection."""
 
+import contextlib
 import io
 import os
 import random
 import signal
 import struct
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
 import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,17 +24,20 @@ from driftspace import (
     BadMagicError,
     ChecksumError,
     ConfigError,
+    DriftspaceError,
     SemanticSpace,
     SpaceConfig,
     SpaceFormatError,
     TruncatedFileError,
     VersionMismatchError,
+    TermNotFoundError,
     combine,
+    equivalents,
     load_space,
     load_spaces,
     save_space,
 )
-from driftspace import persistence
+from driftspace import cli, persistence, reports
 from driftspace.persistence import FORMAT_VERSION, MAGIC, write_space_tsv
 
 from helpers import (
@@ -731,3 +737,239 @@ class TestLoadSpaces:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s report as JSON text, or what it raises as (class, message,
+    offsets)."""
+    try:
+        return reports.render(fn(*args, **kwargs), "json")
+    except DriftspaceError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "expected", None)
+
+
+def _loaded_equivalents(paths, *args, **kwargs):
+    """``equivalents`` as the CLI ran it before it streamed: every file loaded."""
+    return equivalents(load_spaces(paths), *args, **kwargs)
+
+
+def _run_cli(argv) -> tuple:
+    """``cli.main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_POOL = ["ant", "bee", "cat", "dog", "eel", "fox"]
+
+
+@st.composite
+def _epochs(draw):
+    """1-4 spaces of one small config in a random argument order, their
+    rows small integers, so zero rows and duplicated rows (exact ties) are
+    common, and a term held by some epochs only; and the float width to save
+    them in."""
+    dim = draw(st.sampled_from([2, 3, 8]))
+    config = SpaceConfig(dim=dim, window=5)
+    spaces = []
+    for k in range(draw(st.integers(1, 4))):
+        terms = sorted(draw(st.sets(st.sampled_from(_POOL))))
+        cells = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        rows = draw(st.lists(cells, min_size=len(terms), max_size=len(terms)))
+        counts = draw(st.lists(st.integers(1, 4), min_size=len(terms), max_size=len(terms)))
+        context = np.array(rows, dtype=np.float64).reshape(len(terms), dim)
+        space = SemanticSpace(config, f"e{k}")
+        space.set_rows(np.array(terms, dtype=str), np.array(counts, dtype=np.int64),
+                       context, context[::-1].copy())
+        spaces.append(space)
+    return draw(st.permutations(spaces)), draw(st.sampled_from([64, 32]))
+
+
+class TestEquivalentsFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_epochs(), data=st.data())
+    def test_the_cli_report_is_the_in_memory_report(self, case, data):
+        spaces, width = case
+        term = data.draw(st.sampled_from(_POOL))
+        anchor = data.draw(st.sampled_from([space.epoch_label for space in spaces]))
+        top_k, min_count = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 5))
+        exclude_self = data.draw(st.booleans())
+        fmt = data.draw(st.sampled_from(reports.FORMATS))
+        chunk = data.draw(st.sampled_from([1, 2, persistence._CHUNK]))
+        with tempfile.TemporaryDirectory() as root:
+            paths = [str(save_space(space, Path(root) / f"{space.epoch_label}.space", width))
+                     for space in spaces]
+            out = Path(root) / "run"
+            argv = ["equiv", term, "--anchor-epoch", anchor, "--spaces", *paths,
+                    "--top-k", str(top_k), "--min-count", str(min_count),
+                    "--out", str(out), "--format", fmt] + ["--exclude-self"] * exclude_self
+            with mock.patch.object(persistence, "_CHUNK", chunk):
+                code, stdout, stderr = _run_cli(argv)
+            try:
+                want = reports.render(equivalents(load_spaces(paths), term, anchor, top_k,
+                                                  min_count, exclude_self), fmt)
+            except DriftspaceError as exc:  # the term is absent or zero there
+                assert code == (cli.EXIT_NOT_FOUND if isinstance(exc, TermNotFoundError)
+                                else cli.EXIT_INTERNAL)
+                assert stderr == f"error: {exc}\n" and not out.exists()
+            else:
+                assert code == cli.EXIT_OK and stdout == want
+                assert [p.name for p in out.glob("report.*")] == [
+                    f"report.{'txt' if fmt == 'pretty' else fmt}"]
+                assert next(out.glob("report.*")).read_text(encoding="utf-8") == want
+
+    @pytest.fixture(scope="class")
+    def third(self, images):
+        """A third file, of another label, for the fuzzed files' company."""
+        rng = random.Random(75)
+        space = build_space(CFG, "1989", random_sentences(rng, ["a", "c", "x", "zz"], 10))
+        return save_space(space, images[2].parent / "third.space")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damage_in_any_of_three_files_fails_as_their_load(self, images, third, data):
+        first, second, path, _ = images
+        files = [path.parent / "wide.space", path.parent / "narrow.space", third]
+        originals = [first, second, third.read_bytes()]
+        at = data.draw(st.integers(0, 2))
+        other = data.draw(st.sampled_from([k for k in range(3) if k != at]))
+        path.write_bytes(data.draw(_damaged(originals[at], originals[other])))
+        paths = files[:at] + [path] + files[at + 1:]
+        term = data.draw(st.sampled_from(["a", "c", "x", "absent"]))
+        anchor = data.draw(st.sampled_from(["1987", "1988-extra", "1989", "1999"]))
+        chunk = data.draw(st.sampled_from([1, 100, persistence._CHUNK]))
+        want = _outcome(_loaded_equivalents, paths, term, anchor)
+        with mock.patch.object(persistence, "_CHUNK", chunk):
+            assert _outcome(persistence.equivalents_files, paths, term, anchor) == want
+            with tempfile.TemporaryDirectory() as root:
+                out = Path(root) / "run"
+                code, _, stderr = _run_cli(["equiv", term, "--anchor-epoch", anchor, "--spaces",
+                                            *map(str, paths), "--out", str(out)])
+        if isinstance(want, str):
+            assert code == cli.EXIT_OK
+        else:
+            assert code != cli.EXIT_OK and stderr == f"error: {want[1]}\n"
+            assert not out.exists()  # no report, no config.txt
+
+    @pytest.fixture
+    def epochs(self, tmp_path):
+        rng = random.Random(76)
+        vocab = [f"v{i:02d}" for i in range(10)]
+        return [save_space(build_space(CFG, f"e{k}", random_sentences(rng, vocab, 30)),
+                           tmp_path / f"e{k}.space") for k in range(3)]
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_file_of_another_config_fails_as_their_load(self, epochs, tmp_path, at):
+        rng = random.Random(78)
+        config = SpaceConfig(dim=16, window=5)
+        other = save_space(build_space(config, "e9", random_sentences(rng, ["v01", "v02"], 5)),
+                           tmp_path / "other.space")
+        paths = epochs[:at] + [other] + epochs[at:]
+        for anchor in ("e1", "e9"):
+            want = _outcome(_loaded_equivalents, paths, "v01", anchor)
+            assert want[0].__name__ == "CombineMismatchError"
+            assert _outcome(persistence.equivalents_files, paths, "v01", anchor) == want
+
+    @pytest.mark.parametrize("swapped", [0, 1, 2])
+    def test_a_file_swapped_after_the_label_pass_is_refused(self, epochs, tmp_path,
+                                                          monkeypatch, swapped):
+        rng = random.Random(77)
+        other = save_space(build_space(CFG, "e9", random_sentences(rng, ["v01", "v02"], 5)),
+                           tmp_path / "other.space")
+        label_head = persistence._label_head
+
+        def swap_after_the_pass(path):
+            head = label_head(path)
+            if path == epochs[-1]:
+                os.replace(other, epochs[swapped])
+            return head
+
+        monkeypatch.setattr(persistence, "_label_head", swap_after_the_pass)
+        with pytest.raises(SpaceFormatError) as err:  # e1 is the anchor epoch
+            persistence.equivalents_files(epochs, "v01", "e1")
+        assert str(err.value) == f"{epochs[swapped]} changed while it was being read"
+
+    def test_an_anchor_row_rewritten_before_its_section_streams_is_refused(
+            self, epochs, tmp_path, monkeypatch):
+        space = load_space(epochs[1])
+        doubled = SemanticSpace(CFG, "e1")
+        doubled.ingested_tokens = space.ingested_tokens
+        doubled.set_rows(space.terms, space.counts, space.context * 2, space.order)
+        image = save_space(doubled, tmp_path / "doubled.space").read_bytes()
+        assert len(image) == epochs[1].stat().st_size  # one header, one table
+        anchor_vector = persistence._Scan.anchor_vector
+
+        def rewrite_after_the_read(scan, term):
+            vector = anchor_vector(scan, term)
+            with open(epochs[1], "r+b") as fh:  # in place: the scan's descriptor sees it
+                fh.write(image)
+            return vector
+
+        monkeypatch.setattr(persistence._Scan, "anchor_vector", rewrite_after_the_read)
+        with pytest.raises(SpaceFormatError) as err:
+            persistence.equivalents_files(epochs, "v01", "e1")
+        assert str(err.value) == f"{epochs[1]} changed while it was being read"
+        # Every CRC-32 of the rewritten file holds: the row check found it.
+        assert load_space(epochs[1]) == doubled
+
+    @pytest.mark.parametrize("anchor", [0, 7, 19])
+    def test_open_files_stay_within_the_pool_size_plus_one(self, space, tmp_path,
+                                                          monkeypatch, anchor):
+        paths = []
+        for k in range(20):
+            epoch = SemanticSpace(CFG, f"{k:02d}")
+            epoch.set_rows(space.terms, space.counts, space.context, space.order)
+            paths.append(save_space(epoch, tmp_path / f"{k:02d}.space"))
+        want = _outcome(_loaded_equivalents, paths, "v03", f"{anchor:02d}")
+        opened = {"now": 0, "peak": 0}
+
+        class Counted(io.FileIO):
+            def __init__(self, path, mode="r", buffering=-1):
+                super().__init__(path, mode)
+                opened["now"] += 1
+                opened["peak"] = max(opened["peak"], opened["now"])
+
+            def close(self):
+                if not self.closed:
+                    opened["now"] -= 1
+                super().close()
+
+        def slow_section(*args):
+            time.sleep(0.005)  # so that files wait for the pool
+            return stream_rows(*args)
+
+        stream_rows = persistence._stream_rows
+        monkeypatch.setattr(persistence, "open", Counted, raising=False)
+        monkeypatch.setattr(persistence, "_stream_rows", slow_section)
+        assert _outcome(persistence.equivalents_files, paths, "v03", f"{anchor:02d}") == want
+        threads = persistence._section_pool()[1]
+        assert opened == {"now": 0, "peak": threads + 1}
+
+    def test_equiv_over_several_epochs_allocates_no_matrix(self, tmp_path, monkeypatch):
+        rows, dim = 4000, 128
+        rng = np.random.default_rng(6)
+        terms = np.array([f"t{k:05d}" for k in range(rows)])
+        paths = []
+        for k in range(4):
+            epoch = SemanticSpace(SpaceConfig(dim=dim, window=5), f"e{k}")
+            epoch.set_rows(terms, np.arange(1, rows + 1, dtype=np.int64),
+                           rng.standard_normal((rows, dim)), rng.standard_normal((rows, dim)))
+            paths.append(save_space(epoch, tmp_path / f"e{k}.space"))
+        want = _outcome(_loaded_equivalents, paths, "t00007", "e2", top_k=5)
+        monkeypatch.setattr(persistence, "_CHUNK", 1 << 16)  # 64 rows, 63 chunks a section
+        # Any chunk buffer a reading thread needs is allocated during the run.
+        monkeypatch.setattr(persistence, "_buffers", threading.local())
+        # The calling thread and the pool threads that take the other sections.
+        readers = min(persistence._section_pool()[1], 2 * len(paths) - 1) + 1
+        tracemalloc.start()
+        try:
+            got = _outcome(persistence.equivalents_files, paths, "t00007", "e2", top_k=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        matrix = rows * dim * 8  # 4 MB
+        # Each reading thread holds a chunk and its unit rows; the rest is
+        # each epoch's terms, counts and scores.
+        assert peak < readers * 2 * persistence._CHUNK + (1 << 20) < matrix

@@ -21,7 +21,7 @@ from driftspace import (
     norm_frequency_series,
 )
 from driftspace import space as space_module
-from driftspace.space import inverse_log_weights, top_ranked
+from driftspace.space import RowScores, inverse_log_weights, top_ranked
 from driftspace.vectors import PermutationSet, apply_permutation, seed_vector
 
 from helpers import assert_spaces_close, build_space, ingest_sentences, random_sentences
@@ -452,7 +452,7 @@ def _query_cases(draw):
     names = [f"t{i:02d}" for i in range(n_rows + 2)]
     excludes = [draw(st.sets(st.sampled_from(names), max_size=4)) for _ in queries]
     block = draw(st.sampled_from([1, 2, 3, 64]))
-    return index, np.array(queries), top_n, excludes, block
+    return index, np.array(queries), top_n, excludes, block, space
 
 
 class TestNeighborIndex:
@@ -546,7 +546,7 @@ class TestNeighborIndex:
     @settings(max_examples=300, deadline=None)
     @given(case=_query_cases())
     def test_query_many_equals_a_full_sort_of_per_pair_dots(self, case):
-        index, queries, top_n, excludes, block = case
+        index, queries, top_n, excludes, block, _ = case
         saved = space_module._QUERY_BLOCK
         space_module._QUERY_BLOCK = block
         try:
@@ -561,6 +561,27 @@ class TestNeighborIndex:
             single = index.query(q, top_n, exclude)
             assert [t for t, _ in single] == [t for t, _ in want]
             assert _bits(single) == _bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_query_cases(), min_count=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           chunk=st.sampled_from([1, 2, 5, 1024]))
+    def test_row_scores_rank_as_a_neighbor_query(self, case, min_count, seed, chunk):
+        _, queries, top_n, excludes, _, space = case
+        space.counts = np.random.default_rng(seed).integers(1, 4, len(space))
+        index = NeighborIndex(space, min_count)
+        for q, exclude in zip(queries, excludes):
+            scores = RowScores(q, len(space))
+            # Chunks of rows, last first, as pool threads may deliver them.
+            for first in reversed(range(0, len(space), chunk)):
+                scores(first, space.context[first:first + chunk])
+            hits = scores.ranked(space.terms, space.counts, top_n, min_count, exclude)
+            want = index.query(q, top_n, exclude)
+            assert [t for t, _ in hits] == [t for t, _ in want]
+            assert _bits(hits) == _bits(want)
+            whole = RowScores(q, len(space)).score_all(space.context)
+            again = whole.ranked(space.terms, space.counts, top_n, min_count, exclude)
+            assert [t for t, _ in again] == [t for t, _ in hits]
+            assert _bits(again) == _bits(hits)
 
     @settings(max_examples=200, deadline=None)
     @given(
